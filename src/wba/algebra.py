@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .diagrams import (
+    _TABLE_MAX_SITES,
     Shape,
     WalledDiagram,
     compose,
@@ -170,6 +171,10 @@ def _scalar(c) -> DeltaScalar:
 
 _DENSE_PAIR_THRESHOLD = 1024
 
+# the dense path packs loop counts into 3 bits and int8 tables; a diagram on
+# n sites closes fewer than n loops
+assert _TABLE_MAX_SITES < 8
+
 
 def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear product, tuned for the certification sweeps.
@@ -185,7 +190,7 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     space = _shape_entry(shape)
     if (
         len(a.terms) * len(b.terms) >= _DENSE_PAIR_THRESHOLD
-        and shape.n <= 6
+        and shape.n <= _TABLE_MAX_SITES
     ):
         return _mul_elements_dense(a, b, space)
 

@@ -15,13 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .algebra import (
-    element_from_json,
-    element_to_json,
-    element_to_text,
-    iota,
-    jm_element,
-)
+from .algebra import element_from_json, element_to_json, element_to_text, jm_element
 from .diagrams import Shape
 from .errors import (
     IllegalMove,
@@ -30,16 +24,10 @@ from .errors import (
     ShapeMismatch,
     WbaError,
 )
-from .fusion import (
-    DEFAULT_H,
-    FusionConfig,
-    fusion_idempotent,
-    idempotent_by,
-    second_fusion_idempotent,
-)
+from .fusion import DEFAULT_H, FusionConfig, fusion_idempotent, idempotent_by
 from .scalars import parse_scalar
 from .tableaux import bratteli, enumerate_tableaux, is_semisimple, parse_tableau
-from .verify import full_report, interp_idempotent
+from .verify import certify_tableau, full_report
 
 _USAGE_ERRORS = (ParseError, IllegalMove, IndexOutOfRange, ShapeMismatch)
 
@@ -54,6 +42,30 @@ def _error_json(exc: Exception) -> dict:
 
 def _shape(args) -> Shape:
     return Shape(args.r, args.s)
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not a rational number: {text!r}") from exc
+
+
+def _seed(args) -> int:
+    text = os.environ.get("WBA_SEED")
+    if text is None:
+        return args.seed
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"WBA_SEED must be an integer, got {text!r}") from exc
+
+
+def _load_json(fh, name: str):
+    try:
+        return json.load(fh)
+    except ValueError as exc:
+        raise ParseError(f"{name} does not hold JSON: {exc}") from exc
 
 
 def cmd_tableaux(args) -> int:
@@ -86,7 +98,7 @@ def cmd_tableaux(args) -> int:
 def cmd_idempotent(args) -> int:
     shape = _shape(args)
     if args.delta_rational is not None:
-        value = Fraction(args.delta_rational)
+        value = _rational(args.delta_rational)
         if not is_semisimple(shape.r, shape.s, value):
             raise WbaError(
                 f"refusing fusion: the algebra is not semisimple at d = {value}"
@@ -100,22 +112,16 @@ def cmd_idempotent(args) -> int:
         return 0
     payload = {"element": element_to_json(element)}
     if args.check:
-        contents = t.contents()
-        jm_ok = all(
-            jm_element(shape, k) * element
-            == element * jm_element(shape, k)
-            == element.scale(contents[k - 1])
-            for k in range(1, shape.n + 1)
-        )
+        cert = certify_tableau(t, element, h=h)
         payload["certification"] = {
-            "idempotent": element * element == element,
-            "jm_spectrum": jm_ok,
-            "iota_fixed": iota(element) == element,
+            "idempotent": cert.idempotent,
+            "jm_spectrum": cert.jm_spectrum,
+            "iota_fixed": cert.iota_fixed,
             "methods_agree": {
                 "first": fusion_idempotent(t) == element,
-                "interp": interp_idempotent(t) == element,
-                "second_fwd": second_fusion_idempotent(t, h) == element,
-                "second_mirror": second_fusion_idempotent(t, h, mirror=True) == element,
+                "interp": cert.interp_agrees,
+                "second_fwd": cert.second_fwd_agrees,
+                "second_mirror": cert.second_mirror_agrees,
             },
         }
     _emit(payload)
@@ -124,13 +130,12 @@ def cmd_idempotent(args) -> int:
 
 def cmd_verify(args) -> int:
     shape = _shape(args)
-    seed = int(os.environ.get("WBA_SEED", args.seed))
+    seed = _seed(args)
+    delta = None if args.delta_rational is None else _rational(args.delta_rational)
     report = full_report(shape, seed=seed, suite=args.suite)
     obj = report.to_json()
-    if args.delta_rational is not None:
-        obj["semisimple_at_delta"] = is_semisimple(
-            shape.r, shape.s, Fraction(args.delta_rational)
-        )
+    if delta is not None:
+        obj["semisimple_at_delta"] = is_semisimple(shape.r, shape.s, delta)
     _emit(obj)
     return 0 if report.ok else 1
 
@@ -153,9 +158,15 @@ def cmd_mul(args) -> int:
     if args.files and args.files != ["-"]:
         if len(args.files) != 2:
             raise ParseError("mul expects exactly two element files or '-'")
-        docs = [json.load(open(path)) for path in args.files]
+        docs = []
+        for path in args.files:
+            try:
+                with open(path) as fh:
+                    docs.append(_load_json(fh, path))
+            except OSError as exc:
+                raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     else:
-        docs = json.load(sys.stdin)
+        docs = _load_json(sys.stdin, "stdin")
         if not isinstance(docs, list) or len(docs) != 2:
             raise ParseError("stdin must carry a JSON array of two elements")
     a = element_from_json(docs[0])

@@ -133,6 +133,8 @@ def make_diagram(shape: Shape, img) -> WalledDiagram:
     n = shape.n
     if len(img) != n or sorted(img) != list(range(1, n + 1)):
         raise IndexOutOfRange(f"img {img} is not a permutation of 1..{n}")
+    # compose-cache keys pack an index into the low 24 bits
+    assert len(by_idx) < 1 << 24, "diagram index overflows the compose-cache key"
     d = object.__new__(WalledDiagram)
     object.__setattr__(d, "shape", shape)
     object.__setattr__(d, "img", img)
@@ -203,6 +205,7 @@ def compose(upper: WalledDiagram, lower: WalledDiagram) -> CompositionResult:
     if hit is not None:
         return CompositionResult(space.by_idx[hit >> 8], hit & 0xFF)
     diagram, loops = _compose_raw(upper, lower)
+    assert loops < 1 << 8, "loop count overflows the compose-cache value"
     space.cache[key] = (diagram.idx << 8) | loops
     return CompositionResult(diagram, loops)
 
@@ -292,11 +295,3 @@ def vertical_flip(x: WalledDiagram) -> WalledDiagram:
 def all_diagrams(shape: Shape) -> Iterator[WalledDiagram]:
     for img in itertools.permutations(range(1, shape.n + 1)):
         yield make_diagram(shape, img)
-
-
-def diagram_to_json(d: WalledDiagram) -> dict:
-    return {"r": d.shape.r, "s": d.shape.s, "img": list(d.img)}
-
-
-def diagram_from_json(obj: dict) -> WalledDiagram:
-    return make_diagram(Shape(obj["r"], obj["s"]), obj["img"])

@@ -91,6 +91,20 @@ def _pair_generator(shape: Shape, kind: str, i: int, j: int):
     return d_pair(shape, min(i, j), max(i, j))
 
 
+def _factor_kind(shape: Shape, kind: str, i: int, j: int, h):
+    """The generator, argument shift and sign of a factor kind: the factor at
+    argument arg is 1 + sign * g/(arg + shift)."""
+    if kind in ("s", "d"):
+        shift, sign = ZERO, -ONE
+    elif kind == "s'":
+        shift, sign = -h, ONE
+    elif kind == "d'":
+        shift, sign = h - DELTA, ONE
+    else:
+        raise IndexOutOfRange(f"unknown factor kind {kind!r}")
+    return _pair_generator(shape, kind, i, j), shift, sign
+
+
 def baxter_factor(shape: Shape, kind: str, i: int, j: int, a, b: int = 1, h=None) -> AlgebraRat:
     """The factor of the given kind at affine argument a + b*u.
 
@@ -102,60 +116,86 @@ def baxter_factor(shape: Shape, kind: str, i: int, j: int, a, b: int = 1, h=None
     if b not in (1, -1):
         raise IndexOutOfRange(f"affine argument slope must be +1 or -1, got {b}")
     a = a if isinstance(a, DeltaScalar) else DeltaScalar.from_fraction(a)
-    g = AlgebraElement.from_diagram(_pair_generator(shape, kind, i, j))
+    gen, shift, sign = _factor_kind(shape, kind, i, j, h)
     one = AlgebraElement.one(shape)
     bs = ONE if b == 1 else -ONE
-    if kind in ("s", "d"):
-        den0, num0 = a, one.scale(a) - g
-    elif kind == "s'":
-        den0 = a - h
-        num0 = one.scale(den0) + g
-    elif kind == "d'":
-        den0 = a + h - DELTA
-        num0 = one.scale(den0) + g
-    else:
-        raise IndexOutOfRange(f"unknown factor kind {kind!r}")
+    den0 = a + shift
+    num0 = one.scale(den0) + AlgebraElement.from_diagram(gen, sign)
     num = UniPoly([num0, one.scale(bs)], AlgebraElement.zero(shape))
     den = UniPoly([den0, bs], ZERO)
     return AlgebraRat(shape, num, den)
 
 
-def sym_step_function(shape: Shape, contents, k: int) -> AlgebraRat:
-    """The before-wall step product s_{1,k}(c_1 - u) ... s_{k-1,k}(c_{k-1} - u)."""
+def factor_at(shape: Shape, kind: str, i: int, j: int, arg: DeltaScalar, h=None) -> AlgebraElement:
+    """The factor of the given kind at a numeric argument; see baxter_factor."""
+    gen, shift, sign = _factor_kind(shape, kind, i, j, h)
+    g = AlgebraElement.from_diagram(gen, sign * (arg + shift).inverse())
+    return AlgebraElement.one(shape) + g
+
+
+# Factor orderings.  A spec is a list of (kind, i, a_i, b) tuples; the factor
+# on the sites (i, k) sits at argument a_i + b*u, with u the variable of step k.
+
+def _d_block(shape: Shape, a) -> list:
+    """d_{r,k}(a_r + u) ... d_{1,k}(a_1 + u)."""
+    return [("d", i, a[i - 1], 1) for i in range(shape.r, 0, -1)]
+
+
+def _d_prime_block(shape: Shape, a) -> list:
+    """d'_{1,k}(a_1 - u) ... d'_{r,k}(a_r - u)."""
+    return [("d'", i, a[i - 1], -1) for i in range(1, shape.r + 1)]
+
+
+def _step_factors(shape: Shape, a, k: int) -> list:
+    """The step-k product on either side of the wall.
+
+    before: s_{1,k}(a_1 - u) ... s_{k-1,k}(a_{k-1} - u)
+    after:  d_{r,k}(a_r + u) ... d_{1,k}(a_1 + u)
+            * s_{r+1,k}(a_{r+1} - u) ... s_{k-1,k}(a_{k-1} - u)
+    """
+    r = shape.r
+    if k <= r:
+        return [("s", i, a[i - 1], -1) for i in range(1, k)]
+    return _d_block(shape, a) + [("s", i, a[i - 1], -1) for i in range(r + 1, k)]
+
+
+def _symbolic_product(shape: Shape, factors, k: int, h=None) -> AlgebraRat:
     acc = AlgebraRat.one(shape)
-    for i in range(1, k):
-        acc = acc * baxter_factor(shape, "s", i, k, contents[i - 1], -1)
+    for kind, i, a, b in factors:
+        acc = acc * baxter_factor(shape, kind, i, k, a, b, h)
+    return acc
+
+
+def _numeric_product(shape: Shape, factors, k: int, u: DeltaScalar, h=None) -> AlgebraElement:
+    acc = AlgebraElement.one(shape)
+    for kind, i, a, b in factors:
+        acc = acc * factor_at(shape, kind, i, k, a + u if b == 1 else a - u, h)
     return acc
 
 
 def step_function(shape: Shape, contents, k: int) -> AlgebraRat:
-    """The after-wall step product, contractions descending then crossings ascending.
-
-    d_{r,k}(c_r + u) ... d_{1,k}(c_1 + u) * s_{r+1,k}(c_{r+1} - u) ... s_{k-1,k}(c_{k-1} - u)
-    """
-    r = shape.r
-    if k <= r:
-        raise IndexOutOfRange(f"step {k} is before the wall; use sym_step_function")
-    acc = AlgebraRat.one(shape)
-    for i in range(r, 0, -1):
-        acc = acc * baxter_factor(shape, "d", i, k, contents[i - 1], 1)
-    for i in range(r + 1, k):
-        acc = acc * baxter_factor(shape, "s", i, k, contents[i - 1], -1)
-    return acc
+    """The step-k product of _step_factors at the contents."""
+    return _symbolic_product(shape, _step_factors(shape, contents, k), k)
 
 
-def step_prefactor(shape: Shape, contents, k: int) -> ScalarRat:
-    """(u - c_k)/(u - d*eps(k)) times the square factors over earlier same-side steps."""
-    r = shape.r
-    c = contents[k - 1]
-    num = UniPoly([-c, ONE], ZERO)
-    den = UniPoly([-(DELTA if k > r else ZERO), ONE], ZERO)
+def _square_factors(contents, lo: int, k: int) -> tuple:
+    """prod (u - c_j)^2 and prod ((u - c_j)^2 - 1) over the steps lo <= j < k."""
     one_poly = UniPoly([ONE], ZERO)
-    for j in range(r + 1 if k > r else 1, k):
+    num, den = one_poly, one_poly
+    for j in range(lo, k):
         lin = UniPoly([-contents[j - 1], ONE], ZERO)
         sq = lin * lin
         num = num * sq
         den = den * (sq - one_poly)
+    return num, den
+
+
+def step_prefactor(shape: Shape, contents, k: int) -> ScalarRat:
+    """(u - c_k)/(u - d*eps(k)) times the square factors over earlier same-side steps."""
+    after = k > shape.r
+    sq, sq_less_one = _square_factors(contents, shape.r + 1 if after else 1, k)
+    num = UniPoly([-contents[k - 1], ONE], ZERO) * sq
+    den = UniPoly([-(DELTA if after else ZERO), ONE], ZERO) * sq_less_one
     return ScalarRat(num, den)
 
 
@@ -188,14 +228,10 @@ def evaluate_step(e_prev, psi: AlgebraRat, z: ScalarRat, c, multiply_left=False)
 
 def fuse_contents(shape: Shape, contents, upto=None) -> AlgebraElement:
     """Consecutive evaluation over the first `upto` steps (all by default)."""
-    r = shape.r
     n = len(contents) if upto is None else upto
     e = AlgebraElement.one(shape)
     for k in range(2, n + 1):
-        if k <= r:
-            psi = sym_step_function(shape, contents, k)
-        else:
-            psi = step_function(shape, contents, k)
+        psi = step_function(shape, contents, k)
         z = step_prefactor(shape, contents, k)
         e = evaluate_step(e, psi, z, contents[k - 1])
     return e
@@ -259,21 +295,12 @@ def leftover_prefactor_value(shape: Shape, contents, p) -> DeltaScalar:
     Raises CancellationFailure if any step leaves a pole; the value may in
     principle be zero, which callers surface rather than assume away.
     """
-    r = shape.r
     total = ONE
-    one_poly = UniPoly([ONE], ZERO)
     for k in range(1, len(contents) + 1):
         c = contents[k - 1]
-        pk = p[k - 1] if k > r else 0
-        num = one_poly
-        for _ in range(1 - pk):
-            num = num * UniPoly([-c, ONE], ZERO)
-        den = UniPoly([-(DELTA if k > r else ZERO), ONE], ZERO)
-        for j in range(r + 1 if k > r else 1, k):
-            lin = UniPoly([-contents[j - 1], ONE], ZERO)
-            sq = lin * lin
-            num = num * sq
-            den = den * (sq - one_poly)
+        z = step_prefactor(shape, contents, k)
+        minimal = _minimal_step_prefactor(c, p[k - 1] if k > shape.r else 0)
+        num, den = z.num * minimal.den, z.den * minimal.num
         md = root_multiplicity(den, c)
         if md:
             mn = root_multiplicity(num, c)
@@ -303,14 +330,11 @@ def fusion_with_minimal_prefactor(t: WalledTableau, override_exponents=None):
     diag = MinimalDiagnostics()
     e = AlgebraElement.one(shape)
     for k in range(2, n + 1):
-        if k <= r:
-            psi = sym_step_function(shape, contents, k)
-            z = _minimal_step_prefactor(contents[k - 1], 0)
-        else:
-            psi = step_function(shape, contents, k)
-            z = _minimal_step_prefactor(contents[k - 1], p[k - 1])
+        pk = p[k - 1] if k > r else 0
+        psi = step_function(shape, contents, k)
+        z = _minimal_step_prefactor(contents[k - 1], pk)
         e, m = _evaluate_step_info(e, psi, z, contents[k - 1])
-        diag.steps.append(MinimalStep(k, p[k - 1] if k > r else 0, m))
+        diag.steps.append(MinimalStep(k, pk, m))
     diag.result_is_zero = e.is_zero
     diag.leftover_value = leftover_prefactor_value(shape, contents, p)
     diag.matches_idempotent = e.scale(diag.leftover_value) == fusion_idempotent(t)
@@ -337,39 +361,21 @@ def h_is_generic(shape: Shape, contents, h: DeltaScalar) -> bool:
 
 
 def _second_block_factors(shape: Shape, contents, k: int, mirror: bool) -> list:
-    r = shape.r
-    factors = []
-    for i in range(k - 1, r, -1):
-        factors.append(("s'", i, contents[i - 1], 1))
-    for i in range(1, r + 1):
-        factors.append(("d'", i, contents[i - 1], -1))
-    for i in range(r, 0, -1):
-        factors.append(("d", i, contents[i - 1], 1))
-    for i in range(r + 1, k):
-        factors.append(("s", i, contents[i - 1], -1))
+    """s'_{k-1,k}(c_{k-1} + u) ... s'_{r+1,k}(c_{r+1} + u), then the d' block,
+    then the step-k product; reversed for the mirror variant."""
+    s_prime = [("s'", i, contents[i - 1], 1) for i in range(k - 1, shape.r, -1)]
+    factors = s_prime + _d_prime_block(shape, contents) + _step_factors(shape, contents, k)
     if mirror:
         factors.reverse()
     return factors
 
 
-def second_step_block(shape: Shape, contents, k: int, h, mirror=False) -> AlgebraRat:
-    acc = AlgebraRat.one(shape)
-    for kind, i, a, b in _second_block_factors(shape, contents, k, mirror):
-        acc = acc * baxter_factor(shape, kind, i, k, a, b, h)
-    return acc
-
-
 def second_step_prefactor(shape: Shape, contents, k: int, h) -> ScalarRat:
     """(u-c_k)(u-h+d) / ((u-d)(u+c_k-h)) times the same-side square factors."""
     c = contents[k - 1]
-    num = UniPoly([-c, ONE], ZERO) * UniPoly([DELTA - h, ONE], ZERO)
-    den = UniPoly([-DELTA, ONE], ZERO) * UniPoly([c - h, ONE], ZERO)
-    one_poly = UniPoly([ONE], ZERO)
-    for j in range(shape.r + 1, k):
-        lin = UniPoly([-contents[j - 1], ONE], ZERO)
-        sq = lin * lin
-        num = num * sq
-        den = den * (sq - one_poly)
+    sq, sq_less_one = _square_factors(contents, shape.r + 1, k)
+    num = UniPoly([-c, ONE], ZERO) * UniPoly([DELTA - h, ONE], ZERO) * sq
+    den = UniPoly([-DELTA, ONE], ZERO) * UniPoly([c - h, ONE], ZERO) * sq_less_one
     return ScalarRat(num, den)
 
 
@@ -381,7 +387,7 @@ def second_fusion_idempotent(t: WalledTableau, h=DEFAULT_H, mirror=False) -> Alg
     r, n = shape.r, shape.n
     e = fuse_contents(shape, contents, r)
     for k in range(r + 1, n + 1):
-        block = second_step_block(shape, contents, k, h, mirror)
+        block = _symbolic_product(shape, _second_block_factors(shape, contents, k, mirror), k, h)
         z = second_step_prefactor(shape, contents, k, h)
         e = evaluate_step(e, block, z, contents[k - 1], multiply_left=mirror)
     return e
@@ -401,27 +407,11 @@ def idempotent_by(t: WalledTableau, cfg: FusionConfig) -> AlgebraElement:
 
 # Numeric products for the identity battery and the proof-level checks.
 
-def w_factor(shape: Shape, i: int, j: int, u: DeltaScalar) -> AlgebraElement:
-    """The numeric baxterized element 1 - g/u, parity selecting the generator."""
-    kind = "s" if (epsilon(shape, i) + epsilon(shape, j)) % 2 == 0 else "d"
-    g = AlgebraElement.from_diagram(_pair_generator(shape, kind, i, j))
-    return AlgebraElement.one(shape) - g.scale(u.inverse())
-
-
-def w_prime_factor(shape: Shape, i: int, j: int, u: DeltaScalar, h) -> AlgebraElement:
-    """The numeric modified element, parity selecting the generator."""
-    if (epsilon(shape, i) + epsilon(shape, j)) % 2 == 0:
-        g = AlgebraElement.from_diagram(_pair_generator(shape, "s'", i, j))
-        return AlgebraElement.one(shape) + g.scale((u - h).inverse())
-    g = AlgebraElement.from_diagram(_pair_generator(shape, "d'", i, j))
-    return AlgebraElement.one(shape) + g.scale((u + h - DELTA).inverse())
-
-
 def wtilde_factor(shape: Shape, i: int, j: int, u: DeltaScalar) -> AlgebraElement:
     """The uniform factor: the crossing kind at u, the contraction kind at d/2 - u."""
     if (epsilon(shape, i) + epsilon(shape, j)) % 2 == 0:
-        return w_factor(shape, i, j, u)
-    return w_factor(shape, i, j, affine(0, Fraction(1, 2)) - u)
+        return factor_at(shape, "s", i, j, u)
+    return factor_at(shape, "d", i, j, affine(0, Fraction(1, 2)) - u)
 
 
 def psi_full_numeric(shape: Shape, us, m=None) -> AlgebraElement:
@@ -432,25 +422,19 @@ def psi_full_numeric(shape: Shape, us, m=None) -> AlgebraElement:
     acc = AlgebraElement.one(shape)
     for i in range(1, r + 1):
         for j in range(r + 1, m + 1):
-            acc = acc * w_factor(shape, i, j, us[i - 1] + us[j - 1])
+            acc = acc * factor_at(shape, "d", i, j, us[i - 1] + us[j - 1])
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            acc = acc * w_factor(shape, i, j, us[i - 1] - us[j - 1])
+            acc = acc * factor_at(shape, "s", i, j, us[i - 1] - us[j - 1])
     for i in range(r + 1, m + 1):
         for j in range(i + 1, m + 1):
-            acc = acc * w_factor(shape, i, j, us[i - 1] - us[j - 1])
+            acc = acc * factor_at(shape, "s", i, j, us[i - 1] - us[j - 1])
     return acc
 
 
 def psi_step_numeric(shape: Shape, us, k: int) -> AlgebraElement:
-    """The after-wall step product at fully numeric points."""
-    r = shape.r
-    acc = AlgebraElement.one(shape)
-    for i in range(r, 0, -1):
-        acc = acc * w_factor(shape, i, k, us[i - 1] + us[k - 1])
-    for i in range(r + 1, k):
-        acc = acc * w_factor(shape, i, k, us[i - 1] - us[k - 1])
-    return acc
+    """The step-k product of _step_factors at fully numeric points."""
+    return _numeric_product(shape, _step_factors(shape, us, k), k, us[k - 1])
 
 
 def second_product_numeric(shape: Shape, t: WalledTableau, h, us, mirror=False) -> AlgebraElement:
@@ -464,33 +448,23 @@ def second_product_numeric(shape: Shape, t: WalledTableau, h, us, mirror=False) 
     contents = t.contents()
     e = fuse_contents(shape, contents, r)
 
-    def d_block(j):
-        acc = AlgebraElement.one(shape)
-        for i in range(r, 0, -1):
-            acc = acc * w_factor(shape, i, j, contents[i - 1] + us[j])
-        return acc
-
-    def d_prime_block(j):
-        acc = AlgebraElement.one(shape)
-        for i in range(1, r + 1):
-            acc = acc * w_prime_factor(shape, i, j, contents[i - 1] - us[j], h)
-        return acc
-
     def s_products(prime: bool):
         acc = AlgebraElement.one(shape)
         for i in range(r + 1, n + 1):
             for j in range(i + 1, n + 1):
                 if prime:
-                    acc = acc * w_prime_factor(shape, i, j, us[i] + us[j], h)
+                    acc = acc * factor_at(shape, "s'", i, j, us[i] + us[j], h)
                 else:
-                    acc = acc * w_factor(shape, i, j, us[i] - us[j])
+                    acc = acc * factor_at(shape, "s", i, j, us[i] - us[j])
         return acc
 
     a_block = AlgebraElement.one(shape)
     a_prime_block = AlgebraElement.one(shape)
     for j in range(r + 1, n + 1):
-        a_block = a_block * d_block(j)
-        a_prime_block = a_prime_block * d_prime_block(j)
+        a_block = a_block * _numeric_product(shape, _d_block(shape, contents), j, us[j])
+        a_prime_block = a_prime_block * _numeric_product(
+            shape, _d_prime_block(shape, contents), j, us[j], h
+        )
     if not mirror:
         return e * a_prime_block * s_products(True) * a_block * s_products(False)
     return e * a_block * s_products(True) * a_prime_block * s_products(False)
@@ -544,10 +518,10 @@ def identity_checks(shape: Shape, seed: int = 0, points: int = 20) -> dict:
         results[name] = {"instances": instances, "pass": ok}
 
     def s_fac(i, j, u):
-        return baxter_numeric(shape, "s", i, j, u)
+        return factor_at(shape, "s", i, j, u)
 
     def d_fac(i, j, u):
-        return baxter_numeric(shape, "d", i, j, u)
+        return factor_at(shape, "d", i, j, u)
 
     # Yang-Baxter for crossings on one side of the wall
     ok, count = True, 0
@@ -606,10 +580,10 @@ def identity_checks(shape: Shape, seed: int = 0, points: int = 20) -> dict:
     ok, count = True, 0
     for _ in range(points):
         u, v = _draw_pair(rng)
-        for (i, j), (k, l) in _disjoint_pair_pairs(shape):
+        for (p, i, j), (q, k, l) in _disjoint_pair_pairs(shape):
             count += 1
-            lhs = w_factor(shape, i, j, u) * w_factor(shape, k, l, v)
-            rhs = w_factor(shape, k, l, v) * w_factor(shape, i, j, u)
+            lhs = factor_at(shape, p, i, j, u) * factor_at(shape, q, k, l, v)
+            rhs = factor_at(shape, q, k, l, v) * factor_at(shape, p, i, j, u)
             ok = ok and lhs == rhs
     record("distinct_sites_commute", ok, count)
 
@@ -636,12 +610,6 @@ def identity_checks(shape: Shape, seed: int = 0, points: int = 20) -> dict:
     return results
 
 
-def baxter_numeric(shape: Shape, kind: str, i: int, j: int, u: DeltaScalar) -> AlgebraElement:
-    """1 - g/u for the requested kind at a numeric argument."""
-    g = AlgebraElement.from_diagram(_pair_generator(shape, kind, i, j))
-    return AlgebraElement.one(shape) - g.scale(u.inverse())
-
-
 def _same_side_pairs(shape: Shape):
     r, n = shape.r, shape.n
     for lo, hi in ((1, r), (r + 1, n)):
@@ -656,16 +624,13 @@ def _cross_pairs(shape: Shape):
             yield i, j
 
 
-def _all_pairs(shape: Shape):
-    yield from _same_side_pairs(shape)
-    yield from _cross_pairs(shape)
-
-
 def _disjoint_pair_pairs(shape: Shape):
-    pairs = list(_all_pairs(shape))
+    """Two (kind, i, j) factor sites with no site in common."""
+    pairs = [("s", i, j) for i, j in _same_side_pairs(shape)]
+    pairs += [("d", i, j) for i, j in _cross_pairs(shape)]
     for a in range(len(pairs)):
         for b in range(a + 1, len(pairs)):
-            if not set(pairs[a]) & set(pairs[b]):
+            if not set(pairs[a][1:]) & set(pairs[b][1:]):
                 yield pairs[a], pairs[b]
 
 

@@ -47,10 +47,6 @@ def pneg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def psub(a: Poly, b: Poly) -> Poly:
-    return padd(a, pneg(b))
-
-
 def pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
@@ -291,9 +287,13 @@ class DeltaScalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        r = ONE
-        for _ in range(k):
-            r = r * self
+        r, base = ONE, self
+        while k:
+            if k & 1:
+                r = r * base
+            k >>= 1
+            if k:
+                base = base * base
         return r
 
     def __str__(self):
@@ -410,6 +410,11 @@ class _Tokens:
         return ch
 
 
+# a parsed power may reach at most this degree in d, so that nested powers
+# such as (d^100)^100 stay bounded too
+_MAX_POWER_DEGREE = 256
+
+
 def parse_scalar(text: str) -> DeltaScalar:
     """Parse an expression in d with + - * / ^ and parentheses."""
     toks = _Tokens(text)
@@ -458,7 +463,13 @@ def _parse_factor(toks):
     value = _parse_atom(toks)
     if toks.peek() == "^":
         toks.take()
+        pos = toks.pos
         exp = _parse_int(toks)
+        degree = max(len(value.num), len(value.den), 2) - 1
+        if exp * degree > _MAX_POWER_DEGREE:
+            raise ParseError(
+                f"power too large: exponent times degree over {_MAX_POWER_DEGREE}", pos
+            )
         value = value**exp
     return value if sign > 0 else -value
 

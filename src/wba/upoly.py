@@ -23,10 +23,6 @@ class UniPoly:
         self.coeffs = tuple(coeffs)
         self.zero = zero
 
-    @classmethod
-    def const(cls, c, zero):
-        return cls((c,), zero)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -24,6 +24,7 @@ from .errors import CancellationFailure, ZeroDenominator
 from .fusion import (
     DEFAULT_H,
     AlgebraRat,
+    _square_factors,
     baxter_factor,
     fuse_contents,
     fusion_idempotent,
@@ -80,7 +81,15 @@ class TableauCert:
     jm_spectrum: bool
     iota_fixed: bool
     interp_agrees: bool | None = None
-    second_agrees: bool | None = None
+    second_fwd_agrees: bool | None = None
+    second_mirror_agrees: bool | None = None
+
+    @property
+    def second_agrees(self) -> bool | None:
+        """Both variants of the second procedure agree; None when not run."""
+        if self.second_fwd_agrees is None:
+            return None
+        return self.second_fwd_agrees and self.second_mirror_agrees
 
     @property
     def ok(self) -> bool:
@@ -146,6 +155,38 @@ class CertReport:
         }
 
 
+def certify_tableau(
+    t: WalledTableau,
+    e: AlgebraElement,
+    include_interp: bool = True,
+    include_second: bool = True,
+    h: DeltaScalar = DEFAULT_H,
+) -> TableauCert:
+    """Certify the idempotent e of the path t: idempotency, the JM spectrum on
+    both sides, flip invariance and, optionally, agreement with the
+    interpolation oracle and with both variants of the second procedure."""
+    contents = t.contents()
+    jm_ok = True
+    for k in range(1, t.shape.n + 1):
+        x = jm_element(t.shape, k)
+        scaled = e.scale(contents[k - 1])
+        if x * e != scaled or e * x != scaled:
+            jm_ok = False
+            break
+    cert = TableauCert(
+        moves=t.moves_str(),
+        idempotent=e * e == e,
+        jm_spectrum=jm_ok,
+        iota_fixed=iota(e) == e,
+    )
+    if include_interp:
+        cert.interp_agrees = interp_idempotent(t) == e
+    if include_second:
+        cert.second_fwd_agrees = second_fusion_idempotent(t, h) == e
+        cert.second_mirror_agrees = second_fusion_idempotent(t, h, mirror=True) == e
+    return cert
+
+
 def check_system(
     shape: Shape,
     include_interp: bool = True,
@@ -161,28 +202,7 @@ def check_system(
 
     t0 = time.perf_counter()
     for t, e in zip(tableaux, elements):
-        contents = t.contents()
-        jm_ok = True
-        for k in range(1, shape.n + 1):
-            x = jm_element(shape, k)
-            scaled = e.scale(contents[k - 1])
-            if x * e != scaled or e * x != scaled:
-                jm_ok = False
-                break
-        cert = TableauCert(
-            moves=t.moves_str(),
-            idempotent=e * e == e,
-            jm_spectrum=jm_ok,
-            iota_fixed=iota(e) == e,
-        )
-        if include_interp:
-            cert.interp_agrees = interp_idempotent(t) == e
-        if include_second:
-            cert.second_agrees = (
-                second_fusion_idempotent(t, h) == e
-                and second_fusion_idempotent(t, h, mirror=True) == e
-            )
-        report.tableaux.append(cert)
+        report.tableaux.append(certify_tableau(t, e, include_interp, include_second, h))
     report.timings["per_tableau"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -279,7 +299,6 @@ def check_jm_resolvent(shape: Shape) -> dict:
     zero_elem = AlgebraElement.zero(shape)
     one_elem = AlgebraElement.one(shape)
     x = jm_element(shape, n)
-    one_poly = UniPoly([ONE], ZERO)
     checked = 0
     ok = True
     for prefix in enumerate_tableaux(Shape(r, shape.s - 1)):
@@ -289,14 +308,8 @@ def check_jm_resolvent(shape: Shape) -> dict:
         lhs = UniPoly([e * c for c in psi.num.coeffs], zero_elem)
         lhs = lhs * UniPoly([-x, one_elem], zero_elem)
         rhs = UniPoly([e], zero_elem) * psi.den
-        scalar_lhs = one_poly
-        scalar_rhs = UniPoly([-DELTA, ONE], ZERO)
-        for i in range(r + 1, n):
-            lin = UniPoly([-contents[i - 1], ONE], ZERO)
-            sq = lin * lin
-            scalar_lhs = scalar_lhs * sq
-            scalar_rhs = scalar_rhs * (sq - one_poly)
-        ok = ok and lhs * scalar_lhs == rhs * scalar_rhs
+        sq, sq_less_one = _square_factors(contents, r + 1, n)
+        ok = ok and lhs * sq == rhs * (UniPoly([-DELTA, ONE], ZERO) * sq_less_one)
         checked += 1
     return {"pass": ok, "instances": checked}
 

@@ -1,4 +1,11 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from wba.algebra import element_from_json
 from wba.cli import main
@@ -94,6 +101,40 @@ def test_usage_error_exit_code(capsys):
     code, out = run(capsys, "idempotent", "1", "1", "--tableau", "L+9,9;L-1,1")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "IllegalMove"
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,env",
+    [
+        (["mul", "{tmp}/missing.json", "{tmp}/x.json"], None, {}),
+        (["mul"], "not json", {}),
+        (["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--delta-rational", "abc"], None, {}),
+        (["verify", "1", "1", "--suite", "system", "--delta-rational", "1/0"], None, {}),
+        (["verify", "1", "1", "--suite", "yang-baxter"], None, {"WBA_SEED": "x"}),
+    ],
+)
+def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, stdin, env):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+def test_huge_power_in_h_is_refused_promptly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "wba.cli", "idempotent", "1", "1", "--tableau",
+         "L+1,1;L-1,1", "--method", "second", "--h", "d^99999999"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
 
 
 def test_bratteli_dot(capsys):

@@ -11,11 +11,13 @@ from wba.fusion import (
     ScalarRat,
     baxter_factor,
     evaluate_step,
+    factor_at,
     fusion_idempotent,
     fusion_with_minimal_prefactor,
     h_is_generic,
     identity_checks,
     minimal_prefactor,
+    psi_step_numeric,
     second_fusion_idempotent,
     step_function,
     step_prefactor,
@@ -102,6 +104,35 @@ def test_sym_group_idempotent_rank_two(spec, sign):
     a = affine(-sign)
     interp = (x2 - one(S22).scale(a)).scale((affine(sign) - a).inverse())
     assert sym_group_idempotent(t) == expected == interp
+
+
+def _value_at(rat, u):
+    return rat.num.eval_at(u).scale(rat.den.eval_at(u).inverse())
+
+
+@pytest.mark.parametrize(
+    "shape,pairs",
+    [
+        (S22, [("s", 1, 2), ("s", 3, 4), ("d", 1, 3), ("d", 2, 4)]),
+        (Shape(2, 3), [("s", 3, 5), ("s", 4, 5), ("d", 1, 5), ("d", 2, 3)]),
+    ],
+)
+def test_numeric_factor_is_symbolic_factor_at_a_point(shape, pairs):
+    a, u0 = affine(Fraction(2, 3), 1), affine(Fraction(5, 7))
+    for kind, i, j in pairs:
+        for k in (kind, kind + "'"):
+            for b in (1, -1):
+                symbolic = baxter_factor(shape, k, i, j, a, b, DEFAULT_H)
+                numeric = factor_at(shape, k, i, j, a + u0 if b == 1 else a - u0, DEFAULT_H)
+                assert numeric == _value_at(symbolic, u0), (k, i, j, b)
+
+
+@pytest.mark.parametrize("shape", [S22, Shape(2, 3)])
+def test_step_function_at_a_point_is_numeric_step(shape):
+    us = [affine(q) for q in (Fraction(2, 3), 5, Fraction(7, 2), 11, Fraction(13, 4))]
+    for k in range(2, shape.n + 1):
+        psi = step_function(shape, us, k)
+        assert _value_at(psi, us[k - 1]) == psi_step_numeric(shape, us, k), k
 
 
 def test_step_function_single_contraction():

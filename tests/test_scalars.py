@@ -109,7 +109,23 @@ def test_parse_examples(text, value):
     assert parse_scalar(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "d+", "2**d", "(d", "x", "d^d", "1/(d-d)"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "d+", "2**d", "(d", "x", "d^d", "1/(d-d)", "d^99999999", "2^257", "(d^100)^3"],
+)
 def test_parse_errors(text):
     with pytest.raises((ParseError, DivisionByZero)):
         parse_scalar(text)
+
+
+def test_parse_power_at_the_degree_bound():
+    assert parse_scalar("(d^2)^128") == parse_scalar("d^256")
+
+
+def test_power_matches_repeated_product():
+    x = (DELTA + 1) / (DELTA - 2)
+    acc = ONE
+    for k in range(12):
+        assert x**k == acc
+        assert x ** (-k) == acc.inverse()
+        acc = acc * x
