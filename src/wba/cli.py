@@ -3,8 +3,10 @@
 Subcommands: tableaux, idempotent, verify, bratteli, jm, mul.  Output is
 machine-readable JSON with deterministic ordering; --pretty on `idempotent`
 switches to a human display that is not meant to be parsed.  Usage and input
-errors exit with 2, computation failures (uncancelled poles, non-generic h,
-non-semisimple parameter) with 1, both carrying a structured error object.
+errors, requests above the size bounds among them, exit with 2, computation
+failures (uncancelled poles, non-generic h, non-semisimple parameter) with 1,
+both carrying a structured error object.  A reader that closes stdout early
+ends the process with 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
     IndexOutOfRange,
     ParseError,
     ShapeMismatch,
+    TooLarge,
     WbaError,
 )
 from .fusion import DEFAULT_H, FusionConfig, fusion_idempotent, idempotent_by
@@ -29,7 +32,15 @@ from .scalars import parse_scalar
 from .tableaux import bratteli, enumerate_tableaux, is_semisimple, parse_tableau
 from .verify import certify_tableau, full_report
 
-_USAGE_ERRORS = (ParseError, IllegalMove, IndexOutOfRange, ShapeMismatch)
+_USAGE_ERRORS = (ParseError, IllegalMove, IndexOutOfRange, ShapeMismatch, TooLarge)
+
+# Size bounds, so that no input runs without end.  On a 2-core machine the
+# largest Bratteli graph, (12,12), builds in about 3 s and the largest
+# printed one, (10,10), prints in about 4 s; the largest listing, the 2620
+# paths of a 9-site shape, takes about 2 s.
+_MAX_GRAPH_SITES = 24
+_MAX_PRINTED_GRAPH_SITES = 20
+_MAX_LISTED_PATHS = 5_000
 
 
 def _emit(obj) -> None:
@@ -61,6 +72,15 @@ def _seed(args) -> int:
         raise ParseError(f"WBA_SEED must be an integer, got {text!r}") from exc
 
 
+def _bounded_shape(args, max_sites: int) -> Shape:
+    shape = _shape(args)
+    if shape.n > max_sites:
+        raise TooLarge(
+            f"shape ({shape.r}, {shape.s}) has {shape.n} sites, more than {max_sites}"
+        )
+    return shape
+
+
 def _load_json(fh, name: str):
     try:
         return json.load(fh)
@@ -69,11 +89,14 @@ def _load_json(fh, name: str):
 
 
 def cmd_tableaux(args) -> int:
-    shape = _shape(args)
-    tableaux = enumerate_tableaux(shape)
+    shape = _bounded_shape(args, _MAX_GRAPH_SITES)
+    count = bratteli(shape).path_count()
     if args.count:
-        print(len(tableaux))
+        print(count)
         return 0
+    if count > _MAX_LISTED_PATHS:
+        raise TooLarge(f"{count} tableaux, more than the {_MAX_LISTED_PATHS} a listing prints")
+    tableaux = enumerate_tableaux(shape)
     _emit(
         {
             "r": shape.r,
@@ -118,7 +141,7 @@ def cmd_idempotent(args) -> int:
             "jm_spectrum": cert.jm_spectrum,
             "iota_fixed": cert.iota_fixed,
             "methods_agree": {
-                "first": fusion_idempotent(t) == element,
+                "first": args.method == "first" or fusion_idempotent(t) == element,
                 "interp": cert.interp_agrees,
                 "second_fwd": cert.second_fwd_agrees,
                 "second_mirror": cert.second_mirror_agrees,
@@ -141,7 +164,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bratteli(args) -> int:
-    graph = bratteli(_shape(args))
+    graph = bratteli(_bounded_shape(args, _MAX_PRINTED_GRAPH_SITES))
     if args.format == "dot":
         print(graph.to_dot())
     else:
@@ -232,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:
@@ -243,6 +264,21 @@ def main(argv=None) -> int:
     except WbaError as exc:
         _emit(_error_json(exc))
         return 1
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # devnull, so the interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

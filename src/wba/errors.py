@@ -33,12 +33,12 @@ class CancellationFailure(WbaError):
     """A pole that should cancel during consecutive evaluation did not."""
 
 
-class PoleAtEvaluation(WbaError):
-    """The reduced denominator still vanishes at the evaluation point."""
-
-
 class NonGenericH(WbaError):
     """The free parameter h hits a forbidden value for the given contents."""
+
+
+class TooLarge(WbaError):
+    """The requested object exceeds a fixed size bound of the interface."""
 
 
 class ParseError(WbaError):

@@ -4,15 +4,20 @@ A baxterized factor is a spectral-parameter-dependent element 1 - g/arg built
 from a crossing or a contraction, with arg an affine function a + b*u of the
 one live evaluation variable.  A fusion run keeps a single variable alive at a
 time: each step multiplies the previous idempotent by an ordered product of
-factors and a scalar prefactor, cancels the (u - c)^m pole of the combined
-denominator against the numerator by exact division, and evaluates at the
-step's content c.  A pole that fails to cancel raises CancellationFailure;
-the theory says this never happens on legal paths, and the negative-control
-tests rely on it happening when a required prefactor is withheld.
+factors and a scalar prefactor and evaluates the result at the step's content
+c, where the combined denominator has a pole of order m.  Only the Laurent
+coefficients at u = c up to order m matter, so a step substitutes
+u = c + eps and folds the previous idempotent through its factors, each a
+two-term series in eps, keeping the eps^0..eps^m coefficients only.  A pole
+that fails to cancel raises CancellationFailure; the theory says this never
+happens on legal paths, and the negative-control tests rely on it happening
+when a required prefactor is withheld.
 
 The second procedure depends on a free parameter h; its factor blocks use the
 modified elements 1 + g/(arg - h) and 1 + g/(arg + h - d) and a different
 prefactor, and admits a mirrored variant obtained by reversing every block.
+The symbolic product of a step's factors, a rational function of u with
+algebra coefficients, serves the proof lemmas only.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import AlgebraElement
 from .diagrams import Shape, d_pair, epsilon, s_pair
@@ -27,9 +33,7 @@ from .errors import (
     CancellationFailure,
     IndexOutOfRange,
     NonGenericH,
-    NonzeroRemainder,
     ParityViolation,
-    PoleAtEvaluation,
 )
 from .scalars import DELTA, ONE, ZERO, DeltaScalar, affine, scalar_str
 from .tableaux import WalledTableau, exponents
@@ -159,23 +163,21 @@ def _step_factors(shape: Shape, a, k: int) -> list:
     return _d_block(shape, a) + [("s", i, a[i - 1], -1) for i in range(r + 1, k)]
 
 
-def _symbolic_product(shape: Shape, factors, k: int, h=None) -> AlgebraRat:
-    acc = AlgebraRat.one(shape)
-    for kind, i, a, b in factors:
-        acc = acc * baxter_factor(shape, kind, i, k, a, b, h)
-    return acc
-
-
-def _numeric_product(shape: Shape, factors, k: int, u: DeltaScalar, h=None) -> AlgebraElement:
-    acc = AlgebraElement.one(shape)
+def _numeric_product(shape: Shape, factors, k: int, u, h=None, acc=None) -> AlgebraElement:
+    """acc (1 by default) times the factors of the spec at the point u."""
+    acc = AlgebraElement.one(shape) if acc is None else acc
     for kind, i, a, b in factors:
         acc = acc * factor_at(shape, kind, i, k, a + u if b == 1 else a - u, h)
     return acc
 
 
 def step_function(shape: Shape, contents, k: int) -> AlgebraRat:
-    """The step-k product of _step_factors at the contents."""
-    return _symbolic_product(shape, _step_factors(shape, contents, k), k)
+    """The step-k product of _step_factors at the contents, multiplied out as
+    a rational function of u; the proof lemmas check it symbolically."""
+    acc = AlgebraRat.one(shape)
+    for kind, i, a, b in _step_factors(shape, contents, k):
+        acc = acc * baxter_factor(shape, kind, i, k, a, b)
+    return acc
 
 
 def _square_factors(contents, lo: int, k: int) -> tuple:
@@ -199,31 +201,73 @@ def step_prefactor(shape: Shape, contents, k: int) -> ScalarRat:
     return ScalarRat(num, den)
 
 
-def _evaluate_step_info(e_prev, psi: AlgebraRat, z: ScalarRat, c, multiply_left=False):
+def _taylor(p: UniPoly, c):
+    """The Taylor coefficients of p at u = c, lowest order first, then zeros."""
+    while True:
+        p, rem = p.divmod_linear(c)
+        yield rem
+
+
+def _evaluate_step_info(e_prev, factors, k: int, z: ScalarRat, c, h=None, multiply_left=False):
+    """z * e_prev * (the factors of the spec on the sites (i, k)) at u = c,
+    after cancelling the (u - c)^m pole; returns (value, m).  With
+    multiply_left the factors stand left of e_prev.
+
+    With u = c + eps a factor at a + b*u is 1 + sign*g/(den0 + b*eps),
+    den0 = a + shift + b*c.  Divided by den0, or by b*eps when den0 = 0, it
+    is the two-term series f0 + f1*eps with f0 = 1 + sign*g/den0 and
+    f1 = b/den0, or f0 = sign*b*g and f1 = 1.  So m is the number of
+    vanishing den0 plus the order of c as a root of z.den, and what is left
+    of the denominator at eps = 0 is the lowest Taylor coefficient of z.den.
+    If z.num vanishes to order p at c, the value needs only the
+    coefficients E_0..E_{m-p} of e_prev times the factors; each factor maps
+    E_j to E_j*f0 + f1*E_{j-1}, one product with a single diagram.  The
+    numerator's eps^j coefficients below eps^m must vanish, else
+    CancellationFailure.
+    """
+    shape = e_prev.shape
+    den = _taylor(z.den, c)
+    m, lead = 0, next(den)
+    while not lead:
+        m, lead = m + 1, next(den)
+    series_factors = []  # (g, f0 has the term 1, f1)
+    for kind, i, a, b in factors:
+        gen, shift, sign = _factor_kind(shape, kind, i, k, h)
+        bs = ONE if b == 1 else -ONE
+        den0 = a + shift + bs * c
+        if den0:
+            inv = den0.inverse()
+            series_factors.append((AlgebraElement.from_diagram(gen, sign * inv), True, bs * inv))
+        else:
+            m += 1
+            series_factors.append((AlgebraElement.from_diagram(gen, sign * bs), False, ONE))
+    taylor = list(islice(_taylor(z.num, c), m + 1))
+    low = next((i for i, t in enumerate(taylor) if t), m + 1)
+    if low > m:
+        return AlgebraElement.zero(shape), m
+    depth = m - low
+    series = [e_prev] + [AlgebraElement.zero(shape)] * depth
     if multiply_left:
-        coeffs = [coef * e_prev for coef in psi.num.coeffs]
-    else:
-        coeffs = [e_prev * coef for coef in psi.num.coeffs]
-    num = UniPoly(coeffs, AlgebraElement.zero(psi.shape)) * z.num
-    den = psi.den * z.den
-    m = root_multiplicity(den, c)
-    if m:
-        den = divide_linear_power(den, c, m)
-        try:
-            num = divide_linear_power(num, c, m)
-        except NonzeroRemainder as exc:
+        series_factors.reverse()
+    for g, has_one, f1 in series_factors:
+        for j in range(depth, -1, -1):
+            ej = series[j]
+            term = (g * ej if multiply_left else ej * g) if ej else ej
+            if has_one:
+                term = term + ej
+            if j and series[j - 1]:
+                term = term + (series[j - 1] if f1 is ONE else series[j - 1].scale(f1))
+            series[j] = term
+    for j in range(depth + 1):
+        coeff = AlgebraElement.zero(shape)
+        for i in range(j + 1):
+            if taylor[low + i] and series[j - i]:
+                coeff = coeff + series[j - i].scale(taylor[low + i])
+        if j < depth and coeff:
             raise CancellationFailure(
                 f"pole of order {m} at u = {scalar_str(c)} does not cancel"
-            ) from exc
-    dval = den.eval_at(c)
-    if not dval:
-        raise PoleAtEvaluation(f"denominator vanishes at u = {scalar_str(c)}")
-    return num.eval_at(c) * dval.inverse(), m
-
-
-def evaluate_step(e_prev, psi: AlgebraRat, z: ScalarRat, c, multiply_left=False):
-    """Evaluate z * e_prev * psi at u = c after cancelling the (u - c)^m pole."""
-    return _evaluate_step_info(e_prev, psi, z, c, multiply_left)[0]
+            )
+    return coeff.scale(lead.inverse()), m
 
 
 def fuse_contents(shape: Shape, contents, upto=None) -> AlgebraElement:
@@ -231,9 +275,8 @@ def fuse_contents(shape: Shape, contents, upto=None) -> AlgebraElement:
     n = len(contents) if upto is None else upto
     e = AlgebraElement.one(shape)
     for k in range(2, n + 1):
-        psi = step_function(shape, contents, k)
         z = step_prefactor(shape, contents, k)
-        e = evaluate_step(e, psi, z, contents[k - 1])
+        e = _evaluate_step_info(e, _step_factors(shape, contents, k), k, z, contents[k - 1])[0]
     return e
 
 
@@ -331,9 +374,8 @@ def fusion_with_minimal_prefactor(t: WalledTableau, override_exponents=None):
     e = AlgebraElement.one(shape)
     for k in range(2, n + 1):
         pk = p[k - 1] if k > r else 0
-        psi = step_function(shape, contents, k)
         z = _minimal_step_prefactor(contents[k - 1], pk)
-        e, m = _evaluate_step_info(e, psi, z, contents[k - 1])
+        e, m = _evaluate_step_info(e, _step_factors(shape, contents, k), k, z, contents[k - 1])
         diag.steps.append(MinimalStep(k, pk, m))
     diag.result_is_zero = e.is_zero
     diag.leftover_value = leftover_prefactor_value(shape, contents, p)
@@ -387,9 +429,9 @@ def second_fusion_idempotent(t: WalledTableau, h=DEFAULT_H, mirror=False) -> Alg
     r, n = shape.r, shape.n
     e = fuse_contents(shape, contents, r)
     for k in range(r + 1, n + 1):
-        block = _symbolic_product(shape, _second_block_factors(shape, contents, k, mirror), k, h)
+        factors = _second_block_factors(shape, contents, k, mirror)
         z = second_step_prefactor(shape, contents, k, h)
-        e = evaluate_step(e, block, z, contents[k - 1], multiply_left=mirror)
+        e = _evaluate_step_info(e, factors, k, z, contents[k - 1], h, mirror)[0]
     return e
 
 
@@ -442,32 +484,23 @@ def second_product_numeric(shape: Shape, t: WalledTableau, h, us, mirror=False) 
 
     us maps site k (r < k <= n) to the numeric value of its variable; the
     before-wall variables are already at the contents through the
-    symmetric-group idempotent.
+    symmetric-group idempotent.  The product is e * A' * S' * A * S, or
+    e * A * S' * A' * S mirrored, with A and A' the d and d' blocks of every
+    after-wall step and S' and S the lexicographic s' and s products; e is
+    folded through it one two-term factor at a time.
     """
     r, n = shape.r, shape.n
     contents = t.contents()
+    after = range(r + 1, n + 1)
+    a_block = [(j, _d_block(shape, contents)) for j in after]
+    a_prime = [(j, _d_prime_block(shape, contents)) for j in after]
+    s_prime = [(j, [("s'", i, us[i], 1)]) for i in after for j in range(i + 1, n + 1)]
+    s_block = [(j, [("s", i, us[i], -1)]) for i in after for j in range(i + 1, n + 1)]
+    order = a_block + s_prime + a_prime if mirror else a_prime + s_prime + a_block
     e = fuse_contents(shape, contents, r)
-
-    def s_products(prime: bool):
-        acc = AlgebraElement.one(shape)
-        for i in range(r + 1, n + 1):
-            for j in range(i + 1, n + 1):
-                if prime:
-                    acc = acc * factor_at(shape, "s'", i, j, us[i] + us[j], h)
-                else:
-                    acc = acc * factor_at(shape, "s", i, j, us[i] - us[j])
-        return acc
-
-    a_block = AlgebraElement.one(shape)
-    a_prime_block = AlgebraElement.one(shape)
-    for j in range(r + 1, n + 1):
-        a_block = a_block * _numeric_product(shape, _d_block(shape, contents), j, us[j])
-        a_prime_block = a_prime_block * _numeric_product(
-            shape, _d_prime_block(shape, contents), j, us[j], h
-        )
-    if not mirror:
-        return e * a_prime_block * s_products(True) * a_block * s_products(False)
-    return e * a_block * s_products(True) * a_prime_block * s_products(False)
+    for k, factors in order + s_block:
+        e = _numeric_product(shape, factors, k, us[k], h, e)
+    return e
 
 
 # Spectral identity battery.

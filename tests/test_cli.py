@@ -13,7 +13,7 @@ from wba.diagrams import Shape, d_gen, s_gen
 from wba.algebra import AlgebraElement
 from wba.scalars import DELTA
 from wba.fusion import fusion_idempotent
-from wba.tableaux import parse_tableau
+from wba.tableaux import enumerate_tableaux, parse_tableau
 
 GOLDEN_SPEC = "L+1,1;L+2,1;L-2,1;L-1,1"
 
@@ -27,6 +27,29 @@ def run(capsys, *argv):
 def test_tableaux_count(capsys):
     code, out = run(capsys, "tableaux", "2", "2", "--count")
     assert code == 0 and out.strip() == "10"
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_tableaux_count_is_the_number_of_paths(capsys, n):
+    for r in range(n + 1):
+        code, out = run(capsys, "tableaux", str(r), str(n - r), "--count")
+        assert code == 0
+        assert int(out) == len(enumerate_tableaux(Shape(r, n - r)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tableaux", "13", "12", "--count"],
+        ["tableaux", "13", "12"],
+        ["tableaux", "5", "5"],
+        ["bratteli", "11", "10"],
+    ],
+)
+def test_oversized_request_is_a_usage_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "TooLarge"
 
 
 def test_tableaux_listing(capsys):
@@ -48,6 +71,20 @@ def test_idempotent_golden_with_check(capsys):
     assert all(cert["methods_agree"].values())
     t = parse_tableau(GOLDEN_SPEC, Shape(2, 2))
     assert element_from_json(obj["element"]) == fusion_idempotent(t)
+
+
+def test_check_of_the_first_method_fuses_once(capsys, monkeypatch):
+    import wba.cli
+
+    def refuse(t):
+        raise AssertionError("the first procedure ran twice")
+
+    monkeypatch.setattr(wba.cli, "fusion_idempotent", refuse)
+    code, out = run(
+        capsys, "idempotent", "2", "2", "--tableau", GOLDEN_SPEC, "--check"
+    )
+    assert code == 0
+    assert json.loads(out)["certification"]["methods_agree"]["first"] is True
 
 
 def test_idempotent_methods_match(capsys):
@@ -135,6 +172,24 @@ def test_huge_power_in_h_is_refused_promptly():
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
+
+
+def test_closed_stdout_ends_quietly():
+    # the listing is larger than a pipe buffer, so the write meets the
+    # closed pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wba.cli", "tableaux", "4", "4"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_bratteli_dot(capsys):

@@ -7,10 +7,10 @@ from wba.diagrams import Shape, d_gen, s_gen
 from wba.errors import CancellationFailure, NonGenericH, ParityViolation
 from wba.fusion import (
     DEFAULT_H,
-    AlgebraRat,
     ScalarRat,
+    _evaluate_step_info,
+    _step_factors,
     baxter_factor,
-    evaluate_step,
     factor_at,
     fusion_idempotent,
     fusion_with_minimal_prefactor,
@@ -197,25 +197,25 @@ def test_step_prefactor_before_wall():
 
 def test_evaluate_step_reaches_contraction_leaf():
     t = parse_tableau("L+1,1;L-1,1", S11)
-    psi = step_function(S11, t.contents(), 2)
+    factors = _step_factors(S11, t.contents(), 2)
     z = step_prefactor(S11, t.contents(), 2)
-    e = evaluate_step(one(S11), psi, z, ZERO)
+    e, _ = _evaluate_step_info(one(S11), factors, 2, z, ZERO)
     assert e == elem(d_gen(S11)).scale(ONE / DELTA)
 
 
 def test_evaluate_step_other_leaf_cancels_pole():
     t = parse_tableau("L+1,1;R+1,1", S11)
-    psi = step_function(S11, t.contents(), 2)
+    factors = _step_factors(S11, t.contents(), 2)
     z = step_prefactor(S11, t.contents(), 2)
-    e = evaluate_step(one(S11), psi, z, DELTA)
+    e, m = _evaluate_step_info(one(S11), factors, 2, z, DELTA)
     assert e == one(S11) - elem(d_gen(S11)).scale(ONE / DELTA)
+    assert m == 1
 
 
 def test_evaluate_step_degenerate_passthrough():
-    psi = AlgebraRat.one(S11)
     z = ScalarRat.one()
     e = elem(d_gen(S11)) + one(S11)
-    assert evaluate_step(e, psi, z, affine(7)) == e
+    assert _evaluate_step_info(e, [], 2, z, affine(7)) == (e, 0)
 
 
 def test_golden_idempotent():
@@ -344,3 +344,24 @@ def test_identity_battery_23_has_crossing_triples():
     report = identity_checks(Shape(2, 3), seed=5, points=2)
     assert report["all_pass"]
     assert report["yang_baxter_crossings"]["instances"] > 0
+
+
+def test_fusion_steps_stay_sparse(monkeypatch):
+    # each fold step multiplies by one diagram at a time; the vectorized
+    # path for large products must never run while fusing a 5-site path
+    import wba.algebra as algebra
+
+    calls = []
+    dense = algebra._mul_elements_dense
+
+    def counted(*args):
+        calls.append(None)
+        return dense(*args)
+
+    monkeypatch.setattr(algebra, "_mul_elements_dense", counted)
+    t = parse_tableau("L+1,1;L+1,2;R+1,1;R+1,2;R+1,3", Shape(2, 3))
+    fusion_idempotent(t)
+    second_fusion_idempotent(t)
+    second_fusion_idempotent(t, mirror=True)
+    fusion_with_minimal_prefactor(t)
+    assert calls == []
