@@ -10,8 +10,6 @@ anti-automorphism, and the JSON wire format.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from math import gcd
 
 from .diagrams import (
     _TABLE_MAX_SITES,
@@ -32,11 +30,9 @@ from .scalars import (
     ZERO,
     DeltaScalar,
     _den_lcm,
-    _F1,
     padd,
     parse_scalar,
     pmul,
-    pscale,
     rescaled_numerator,
     scalar_linear_combination,
     scalar_str,
@@ -62,22 +58,16 @@ class AlgebraElement:
     def _cleared_form(self):
         """Common denominator and per-diagram integer numerators; cached.
 
-        Scaling out the coefficient denominators keeps the dense product loop
-        on plain integers, which is several times faster than Fractions.
+        Putting every coefficient over one denominator keeps the dense product
+        loop on plain polynomial additions, with one canonicalization per
+        output diagram.
         """
         if self._cleared is None:
-            den = (_F1,)
+            den = (1,)
             for c in self.terms.values():
                 den = _den_lcm(den, c.den)
             nums = {d: rescaled_numerator(c, den) for d, c in self.terms.items()}
-            scale = 1
-            for num in nums.values():
-                for coef in num:
-                    scale = scale * coef.denominator // gcd(scale, coef.denominator)
-            nums = {
-                d: tuple(int(coef * scale) for coef in num) for d, num in nums.items()
-            }
-            self._cleared = (pscale(den, Fraction(scale)), nums)
+            self._cleared = (den, nums)
         return self._cleared
 
     @classmethod

@@ -357,12 +357,13 @@ def leftover_prefactor_value(shape: Shape, contents, p) -> DeltaScalar:
     return total
 
 
-def fusion_with_minimal_prefactor(t: WalledTableau, override_exponents=None):
+def fusion_with_minimal_prefactor(t: WalledTableau, override_exponents=None, reference=None):
     """Run the fusion with only the exponent-dictated prefactor factors.
 
     Returns (element, diagnostics).  With override_exponents (a dict step -> p)
     the run becomes a negative control: withholding a required factor makes
-    the engine raise CancellationFailure.
+    the engine raise CancellationFailure.  reference is the idempotent of t
+    when the caller has already fused it; otherwise it is fused here.
     """
     shape, contents = t.shape, t.contents()
     r, n = shape.r, shape.n
@@ -379,7 +380,9 @@ def fusion_with_minimal_prefactor(t: WalledTableau, override_exponents=None):
         diag.steps.append(MinimalStep(k, pk, m))
     diag.result_is_zero = e.is_zero
     diag.leftover_value = leftover_prefactor_value(shape, contents, p)
-    diag.matches_idempotent = e.scale(diag.leftover_value) == fusion_idempotent(t)
+    if reference is None:
+        reference = fusion_idempotent(t)
+    diag.matches_idempotent = e.scale(diag.leftover_value) == reference
     return e, diag
 
 

@@ -1,12 +1,20 @@
 """Exact arithmetic in Q(d), the field of rational functions of the loop
 parameter d.
 
-A polynomial in d is a trimmed tuple of Fractions indexed by power; the empty
-tuple is zero.  A scalar is a fraction num/den of two such polynomials kept in
-canonical form: gcd(num, den) = 1 and den monic.  Canonical scalars are
-interned, so equal values are the same object and structural equality is value
-equality.  Keeping the parameter formal realizes the generic regime exactly;
-no numeric d is ever chosen and no floating point appears anywhere.
+A polynomial in d is a trimmed tuple of Python ints indexed by power; the
+empty tuple is zero.  A scalar is a fraction num/den of two such polynomials
+kept in one canonical form: gcd(num, den) = 1 in Q[d], the gcd of all
+coefficients of num and den together is 1, and den has a positive leading
+coefficient.  This is also the form the text output prints.  Canonical
+scalars are interned, so equal values are the same object and structural
+equality is value equality.  Keeping the parameter formal realizes the
+generic regime exactly; no numeric d is ever chosen and no floating point
+appears anywhere.
+
+Gcds come from a primitive polynomial remainder sequence over Z[d] and
+cofactors from exact division in Z[d], so no rational coefficient arises
+(von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  Rational input
+is cleared to integers once, by the constructors.
 
 Binary operations are memoized in bounded caches keyed by the interned
 operands.  The multiplication loops of the diagram algebra hit these caches
@@ -17,14 +25,11 @@ affordable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .errors import DivisionByZero, ParseError
+from .errors import DivisionByZero, NonzeroRemainder, ParseError
 
-Poly = tuple  # tuple[Fraction, ...], trimmed, () == 0
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+Poly = tuple  # tuple[int, ...], trimmed, () == 0
 
 
 def ptrim(coeffs) -> Poly:
@@ -50,51 +55,91 @@ def pneg(a: Poly) -> Poly:
 def pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [_F0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
             continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return ptrim(out)
+    return tuple(out)
 
 
-def pscale(a: Poly, k: Fraction) -> Poly:
+def pscale(a: Poly, k: int) -> Poly:
     if not k:
         return ()
     return tuple(c * k for c in a)
 
 
-def pmonic(a: Poly) -> Poly:
-    if not a or a[-1] == 1:
-        return a
-    return pscale(a, 1 / a[-1])
+def _primitive(a: Poly) -> Poly:
+    """a divided by its content, with a positive leading coefficient; a != 0."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple(c // g for c in a)
 
 
-def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Long division over Q; b must be nonzero."""
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    q = [_F0] * max(len(a) - len(b) + 1, 0)
+def _prem(a: Poly, b: Poly) -> Poly:
+    """A nonzero integer multiple of the remainder of a by b, where
+    len(a) >= len(b) >= 2.  Each step scales the running remainder by only
+    lc(b) / gcd(lc(rem), lc(b))."""
     rem = list(a)
-    inv_lead = 1 / b[-1]
-    while len(rem) >= len(b):
-        if not rem[-1]:
-            rem.pop()
+    lb, nb = b[-1], len(b)
+    while len(rem) >= nb:
+        lr = rem.pop()
+        if not lr:
             continue
-        shift = len(rem) - len(b)
-        factor = rem[-1] * inv_lead
-        q[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return ptrim(q), ptrim(rem)
+        g = gcd(lr, lb)
+        s, t = lb // g, lr // g
+        if s != 1:
+            rem = [c * s for c in rem]
+        shift = len(rem) - nb + 1
+        for i in range(nb - 1):
+            rem[shift + i] -= t * b[i]
+    return ptrim(rem)
 
 
 def pgcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    return pmonic(a)
+    """The primitive gcd of a and b in Z[d], with a positive leading
+    coefficient: a gcd in Q[d], and (1,) when a and b are coprime there.
+
+    A primitive remainder sequence: the content of every pseudo-remainder is
+    removed, so coefficients stay as small as the gcd allows.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return _primitive(a) if a else ()
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return (1,)
+
+
+def pexquo(a: Poly, b: Poly) -> Poly:
+    """The quotient a / b in Z[d]; raises NonzeroRemainder unless b divides a
+    there, so an inexact division is never truncated."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    rem = list(a)
+    lb, nb = b[-1], len(b)
+    q = [0] * max(len(a) - nb + 1, 0)
+    while len(rem) >= nb:
+        lr = rem.pop()
+        if not lr:
+            continue
+        f, r = divmod(lr, lb)
+        if r:
+            raise NonzeroRemainder(f"{pstr(b)} does not divide {pstr(a)} in Z[d]")
+        shift = len(rem) - nb + 1
+        q[shift] = f
+        for i in range(nb - 1):
+            rem[shift + i] -= f * b[i]
+    if any(rem):
+        raise NonzeroRemainder(f"{pstr(b)} does not divide {pstr(a)} in Z[d]")
+    return ptrim(q)
 
 
 def pstr(a: Poly) -> str:
@@ -123,6 +168,11 @@ _MUL: dict = {}
 _NEG: dict = {}
 _INV: dict = {}
 _CACHE_LIMIT = 1 << 20
+# no longer filled: lcms and rescaled numerators are recomputed, which keeps
+# peak memory lower than caching them did; perfbench/make_expected.py still
+# empties both between its runs
+_LCM: dict = {}
+_RESCALE: dict = {}
 
 
 def _cache_put(cache, key, value):
@@ -134,8 +184,9 @@ def _cache_put(cache, key, value):
 class DeltaScalar:
     """An element of Q(d) in canonical interned form.
 
-    num and den are Fraction-coefficient tuples; den is monic and coprime to
-    num.  Instances are immutable and safe to share freely.
+    num and den are int-coefficient tuples, coprime in Q[d], with joint
+    content 1 and den[-1] > 0.  Instances are immutable and safe to share
+    freely.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -144,22 +195,25 @@ class DeltaScalar:
         raise TypeError("use DeltaScalar.make / from_int / poly constructors")
 
     @staticmethod
-    def make(num: Poly, den: Poly = (_F1,)) -> "DeltaScalar":
-        num = ptrim(tuple(Fraction(c) for c in num))
-        den = ptrim(tuple(Fraction(c) for c in den))
+    def make(num: Poly, den: Poly = (1,)) -> "DeltaScalar":
+        """The scalar num/den of two int-coefficient polynomials."""
+        num, den = ptrim(num), ptrim(den)
         if not den:
             raise DivisionByZero("scalar with zero denominator")
         if not num:
-            num, den = (), (_F1,)
+            den = (1,)
         else:
-            g = pgcd(num, den)
-            if len(g) > 1:
-                num = pdivmod(num, g)[0]
-                den = pdivmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                num = pscale(num, 1 / lead)
-                den = pscale(den, 1 / lead)
+            # a side of degree 0 is a unit of Q[d]: only the content is shared
+            if len(num) > 1 and len(den) > 1:
+                g = pgcd(num, den)
+                if len(g) > 1:
+                    num, den = pexquo(num, g), pexquo(den, g)
+            c = gcd(*num, *den)
+            if den[-1] < 0:
+                c = -c
+            if c != 1:
+                num = tuple(x // c for x in num)
+                den = tuple(x // c for x in den)
         key = (num, den)
         obj = _INTERN.get(key)
         if obj is None:
@@ -172,15 +226,21 @@ class DeltaScalar:
 
     @staticmethod
     def from_int(k) -> "DeltaScalar":
-        return DeltaScalar.make((Fraction(k),))
+        return DeltaScalar.poly((k,))
 
     @staticmethod
-    def from_fraction(q: Fraction) -> "DeltaScalar":
-        return DeltaScalar.make((Fraction(q),))
+    def from_fraction(q) -> "DeltaScalar":
+        q = Fraction(q)
+        return DeltaScalar.make((q.numerator,), (q.denominator,))
 
     @staticmethod
     def poly(coeffs) -> "DeltaScalar":
-        return DeltaScalar.make(tuple(Fraction(c) for c in coeffs))
+        """The polynomial with these rational coefficients, by increasing power."""
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        return DeltaScalar.make(
+            tuple(c.numerator * (den // c.denominator) for c in coeffs), (den,)
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("DeltaScalar is immutable")
@@ -194,7 +254,7 @@ class DeltaScalar:
         if isinstance(other, DeltaScalar):
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self == DeltaScalar.make((Fraction(other),))
+            return self == DeltaScalar.from_fraction(other)
         return NotImplemented
 
     def __bool__(self):
@@ -307,28 +367,26 @@ def _coerce(x):
     if isinstance(x, DeltaScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return DeltaScalar.make((Fraction(x),))
+        return DeltaScalar.from_fraction(x)
     return NotImplemented
 
 
 ZERO = DeltaScalar.make(())
-ONE = DeltaScalar.make((_F1,))
-DELTA = DeltaScalar.make((_F0, _F1))
-
-_LCM: dict = {}
-_RESCALE: dict = {}
+ONE = DeltaScalar.make((1,))
+DELTA = DeltaScalar.make((0, 1))
 
 
 def _den_lcm(a: Poly, b: Poly) -> Poly:
+    """The lcm of two denominators in Z[d], integer contents included."""
     if a == b:
         return a
-    key = (a, b)
-    r = _LCM.get(key)
-    if r is None:
-        g = pgcd(a, b)
-        r = pmonic(pmul(pdivmod(a, g)[0], b))
-        _cache_put(_LCM, key, r)
-    return r
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        k = b[0] // gcd(b[0], *a)
+        return a if k == 1 else pscale(a, k)
+    g = pscale(pgcd(a, b), gcd(gcd(*a), gcd(*b)))
+    return pmul(pexquo(a, g), b)
 
 
 def scalar_linear_combination(items) -> DeltaScalar:
@@ -352,38 +410,30 @@ def scalar_linear_combination(items) -> DeltaScalar:
     for c, k in items:
         num = rescaled_numerator(c, den)
         if k != 1:
-            num = pscale(num, Fraction(k))
+            num = pscale(num, k)
         acc = padd(acc, num)
     return DeltaScalar.make(acc, den)
 
 
 def rescaled_numerator(c: DeltaScalar, den: Poly) -> Poly:
-    """The numerator of c over the target denominator, which c.den must divide."""
+    """The numerator of c over the target denominator, which c.den must divide
+    in Z[d]."""
     if c.den == den:
         return c.num
-    key = (c, den)
-    num = _RESCALE.get(key)
-    if num is None:
-        num = pmul(c.num, pdivmod(den, c.den)[0])
-        _cache_put(_RESCALE, key, num)
-    return num
+    return pmul(c.num, pexquo(den, c.den))
 
 
 def affine(a, b=0) -> DeltaScalar:
     """The scalar a + b*d with rational a, b; the form every content takes."""
-    return DeltaScalar.make((Fraction(a), Fraction(b)))
+    return DeltaScalar.poly((a, b))
 
 
 def scalar_str(x: DeltaScalar) -> str:
     """Canonical text form with integer coefficients, e.g. '(2*d^2-3)/(d^2-d)'."""
-    denoms = [c.denominator for c in x.num] + [c.denominator for c in x.den]
-    scale = Fraction(lcm(*denoms)) if denoms else _F1
-    num = pscale(x.num, scale)
-    den = pscale(x.den, scale)
-    num_s = pstr(num)
-    if den == (_F1,):
+    num_s = pstr(x.num)
+    if x.den == (1,):
         return num_s
-    den_s = pstr(den)
+    den_s = pstr(x.den)
     if any(ch in num_s for ch in "+*") or num_s.count("-") > (1 if num_s.startswith("-") else 0):
         num_s = f"({num_s})"
     if any(ch in den_s for ch in "+-*"):

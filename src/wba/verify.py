@@ -194,6 +194,11 @@ def check_system(
     h: DeltaScalar = DEFAULT_H,
 ) -> CertReport:
     """Certify the complete idempotent system of a shape."""
+    return _system_report(shape, include_interp, include_second, h)[0]
+
+
+def _system_report(shape: Shape, include_interp: bool, include_second: bool, h: DeltaScalar):
+    """check_system's report and the fused idempotents, in enumeration order."""
     report = CertReport(shape.r, shape.s)
     t0 = time.perf_counter()
     tableaux = enumerate_tableaux(shape)
@@ -227,7 +232,7 @@ def check_system(
 
     spectra = [t.contents() for t in tableaux]
     report.spectra_distinct = len(set(spectra)) == len(spectra)
-    return report
+    return report, elements
 
 
 def _distinct_points(rng: random.Random, count: int) -> list:
@@ -349,16 +354,22 @@ def check_proof_lemmas(shape: Shape, seed: int = 0) -> dict:
     return out
 
 
-def check_exponents(shape: Shape, negative_controls: int = 3) -> dict:
+def check_exponents(shape: Shape, negative_controls: int = 3, idempotents=None) -> dict:
     """Minimal-prefactor runs for every tableau of the shape, plus negative
-    controls that withhold one required factor and must fail."""
+    controls that withhold one required factor and must fail.
+
+    idempotents, when given, are the fused idempotents of the shape's
+    tableaux in enumeration order, which the runs are compared against
+    instead of fusing each tableau again.
+    """
     runs = 0
     ok = True
     zero_results = 0
     controls = 0
     controls_failed_as_expected = 0
-    for t in enumerate_tableaux(shape):
-        e, diag = fusion_with_minimal_prefactor(t)
+    tableaux = enumerate_tableaux(shape)
+    for t, reference in zip(tableaux, idempotents or [None] * len(tableaux)):
+        e, diag = fusion_with_minimal_prefactor(t, reference=reference)
         runs += 1
         ok = ok and diag.matches_idempotent
         zero_results += diag.result_is_zero
@@ -382,8 +393,9 @@ def check_exponents(shape: Shape, negative_controls: int = 3) -> dict:
 
 def full_report(shape: Shape, seed: int = 0, suite: str = "all") -> CertReport:
     """Assemble the report the CLI emits; suite selects which sections run."""
+    idempotents = None
     if suite in ("all", "system"):
-        report = check_system(shape)
+        report, idempotents = _system_report(shape, True, True, DEFAULT_H)
     else:
         report = CertReport(shape.r, shape.s)
     if suite in ("all", "lemmas"):
@@ -396,6 +408,6 @@ def full_report(shape: Shape, seed: int = 0, suite: str = "all") -> CertReport:
         report.timings["identities"] = time.perf_counter() - t0
     if suite in ("all", "exponents"):
         t0 = time.perf_counter()
-        report.exponent_runs = check_exponents(shape)
+        report.exponent_runs = check_exponents(shape, idempotents=idempotents)
         report.timings["exponents"] = time.perf_counter() - t0
     return report

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wba.errors import DivisionByZero, ParseError
+from fraction_scalars import integer_form
+from wba.errors import DivisionByZero, NonzeroRemainder, ParseError
 from wba.scalars import (
     DELTA,
     ONE,
@@ -12,6 +13,8 @@ from wba.scalars import (
     DeltaScalar,
     affine,
     parse_scalar,
+    pexquo,
+    pgcd,
     scalar_str,
 )
 
@@ -27,16 +30,43 @@ def test_gcd_cancellation():
     # (d^2 - 1)/(d - 1) reduces to d + 1
     x = (DELTA * DELTA - 1) / (DELTA - 1)
     assert x == DELTA + 1
-    assert x.num == (Fraction(1), Fraction(1))
-    assert x.den == (Fraction(1),)
+    assert x.num == (1, 1)
+    assert x.den == (1,)
 
 
 def test_inverse_of_golden_prefactor():
     # inv(2d(d-1)) is the overall scalar of the golden (2,2) idempotent
     x = (DeltaScalar.from_int(2) * DELTA * (DELTA - 1)).inverse()
     assert x * (2 * DELTA * (DELTA - 1)) == ONE
-    assert x.den == (Fraction(0), Fraction(-1), Fraction(1))  # monic d^2 - d
-    assert x.num == (Fraction(1, 2),)
+    assert x.den == (0, -2, 2)  # 2*d^2 - 2*d, joint content 1
+    assert x.num == (1,)
+    assert scalar_str(x) == "1/(2*d^2-2*d)"
+
+
+def test_exact_division_in_z():
+    # (d^2 - 1) / (d - 1) = d + 1
+    assert pexquo((-1, 0, 1), (-1, 1)) == (1, 1)
+    assert pexquo((2, 2), (1, 1)) == (2,)
+    assert pexquo((), (3, 1)) == ()
+    # d^2 + 1 leaves the remainder 2 by d - 1
+    with pytest.raises(NonzeroRemainder):
+        pexquo((1, 0, 1), (-1, 1))
+    # exact in Q[d] with quotient 1/2, but not in Z[d]: never truncated to 0
+    with pytest.raises(NonzeroRemainder):
+        pexquo((1, 1), (2, 2))
+    with pytest.raises(NonzeroRemainder):
+        pexquo((3,), (0, 1))
+    with pytest.raises(DivisionByZero):
+        pexquo((1,), ())
+
+
+def test_primitive_gcd():
+    # gcd(2d^2 - 2, -4d - 4) = d + 1 up to a unit
+    assert pgcd((-2, 0, 2), (-4, -4)) == (1, 1)
+    assert pgcd((0, 6), (0, 0, -9)) == (0, 1)
+    assert pgcd((2, 1), (3, 1)) == (1,)
+    assert pgcd((6,), ()) == (1,)
+    assert pgcd((), ()) == ()
 
 
 def test_zero_and_one_are_interned():
@@ -70,7 +100,7 @@ small_fracs = st.fractions(
 def scalars(draw):
     num = draw(st.lists(small_fracs, min_size=0, max_size=3))
     den = draw(st.lists(small_fracs, min_size=1, max_size=3).filter(lambda c: any(c)))
-    return DeltaScalar.make(tuple(num), tuple(den))
+    return DeltaScalar.make(*integer_form((tuple(num), tuple(den))))
 
 
 @settings(max_examples=150, deadline=None)

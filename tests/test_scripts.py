@@ -1,0 +1,36 @@
+"""Smoke tests of the scripts under scripts/, each run as its own process."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_golden_idempotent_script():
+    proc = run_script("golden_idempotent.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[1:] for line in lines[:4]] == [["==", "first"]] * 4
+    element = json.loads("\n".join(lines[4:]))
+    assert (element["r"], element["s"]) == (2, 2)
+    coeffs = {tuple(term["diagram"]): term["coeff"] for term in element["terms"]}
+    assert coeffs[(3, 4, 1, 2)] == "1/(2*d^2-2*d)"
+
+
+def test_certify_script():
+    proc = run_script("certify.py", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(": ok ") == 3  # (1,1), (1,2), (2,1)

@@ -121,6 +121,28 @@ def test_check_exponents_with_negative_controls():
     assert out["zero_results"] == 0
 
 
+def test_full_report_fuses_each_tableau_once(monkeypatch):
+    import wba.fusion as fusion
+    import wba.verify as verify
+
+    calls = []
+    original = fusion.fusion_idempotent
+
+    def counted(t, *args, **kwargs):
+        calls.append(t)
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(fusion, "fusion_idempotent", counted)
+    monkeypatch.setattr(verify, "fusion_idempotent", counted)
+    report = full_report(S22)
+    assert report.ok and report.exponent_runs["runs"] == 10
+    assert len(calls) == 10
+    # a standalone exponent check still fuses for itself
+    calls.clear()
+    assert check_exponents(S22)["pass"]
+    assert len(calls) == 10
+
+
 def test_prefix_fusion_matches_embedding():
     # fusing a shorter path inside the ambient shape equals embedding the
     # idempotent fused in its own shape
