@@ -225,8 +225,8 @@ class DeltaScalar:
         return obj
 
     @staticmethod
-    def from_int(k) -> "DeltaScalar":
-        return DeltaScalar.poly((k,))
+    def from_int(k: int) -> "DeltaScalar":
+        return DeltaScalar.make((k,))
 
     @staticmethod
     def from_fraction(q) -> "DeltaScalar":
@@ -254,7 +254,7 @@ class DeltaScalar:
         if isinstance(other, DeltaScalar):
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self == DeltaScalar.from_fraction(other)
+            return self == _coerce(other)
         return NotImplemented
 
     def __bool__(self):
@@ -366,7 +366,9 @@ class DeltaScalar:
 def _coerce(x):
     if isinstance(x, DeltaScalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
+        return DeltaScalar.make((x,))
+    if isinstance(x, Fraction):
         return DeltaScalar.from_fraction(x)
     return NotImplemented
 
