@@ -367,7 +367,7 @@ def _coerce(x):
     if isinstance(x, DeltaScalar):
         return x
     if isinstance(x, int):
-        return DeltaScalar.make((x,))
+        return DeltaScalar.from_int(x)
     if isinstance(x, Fraction):
         return DeltaScalar.from_fraction(x)
     return NotImplemented
