@@ -51,9 +51,10 @@ def test_exact_division_in_z():
     # d^2 + 1 leaves the remainder 2 by d - 1
     with pytest.raises(NonzeroRemainder):
         pexquo((1, 0, 1), (-1, 1))
-    # exact in Q[d] with quotient 1/2, but not in Z[d]: never truncated to 0
-    with pytest.raises(NonzeroRemainder):
-        pexquo((1, 1), (2, 2))
+    # exact in Q[d], but not in Z[d]: never truncated to an integer quotient
+    for a, b in [((1, 1), (2, 2)), ((3,), (2,)), ((0, 3), (0, 2))]:
+        with pytest.raises(NonzeroRemainder):
+            pexquo(a, b)
     with pytest.raises(NonzeroRemainder):
         pexquo((3,), (0, 1))
     with pytest.raises(DivisionByZero):
