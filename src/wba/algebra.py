@@ -370,7 +370,7 @@ def element_from_json(obj) -> AlgebraElement:
             if d in terms:
                 raise ParseError(f"duplicate diagram in term {i}")
             terms[d] = c
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed element object: {exc}") from exc
     return AlgebraElement(shape, terms)
 

@@ -27,7 +27,7 @@ from .errors import (
     TooLarge,
     WbaError,
 )
-from .fusion import DEFAULT_H, FusionConfig, fusion_idempotent, idempotent_by
+from .fusion import DEFAULT_H, fusion_idempotent, idempotent_by
 from .scalars import parse_scalar
 from .tableaux import bratteli, enumerate_tableaux, is_semisimple, parse_tableau
 from .verify import certify_tableau, full_report
@@ -128,8 +128,7 @@ def cmd_idempotent(args) -> int:
             )
     t = parse_tableau(args.tableau, shape)
     h = parse_scalar(args.h) if args.h else DEFAULT_H
-    cfg = FusionConfig(method=args.method, variant=args.variant, h=h)
-    element = idempotent_by(t, cfg)
+    element = idempotent_by(t, args.method, args.variant, h)
     if args.pretty:
         print(element_to_text(element))
         return 0
@@ -173,7 +172,7 @@ def cmd_bratteli(args) -> int:
 
 
 def cmd_jm(args) -> int:
-    _emit(element_to_json(jm_element(_shape(args), args.k)))
+    _emit(element_to_json(jm_element(_bounded_shape(args, _MAX_GRAPH_SITES), args.k)))
     return 0
 
 

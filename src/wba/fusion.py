@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 
 from .algebra import AlgebraElement
 from .diagrams import Shape, d_pair, epsilon, s_pair
@@ -37,24 +36,9 @@ from .errors import (
 )
 from .scalars import DELTA, ONE, ZERO, DeltaScalar, affine, scalar_str
 from .tableaux import WalledTableau, exponents
-from .upoly import UniPoly, divide_linear_power, root_multiplicity
+from .upoly import UniPoly
 
 DEFAULT_H = affine(Fraction(1, 2), 3)
-
-
-@dataclass(frozen=True)
-class ScalarRat:
-    """A scalar rational function of the live variable."""
-
-    num: UniPoly
-    den: UniPoly
-
-    @staticmethod
-    def one() -> "ScalarRat":
-        return ScalarRat(UniPoly([ONE], ZERO), UniPoly([ONE], ZERO))
-
-    def __mul__(self, other: "ScalarRat") -> "ScalarRat":
-        return ScalarRat(self.num * other.num, self.den * other.den)
 
 
 @dataclass(frozen=True)
@@ -75,13 +59,6 @@ class AlgebraRat:
 
     def __mul__(self, other: "AlgebraRat") -> "AlgebraRat":
         return AlgebraRat(self.shape, self.num * other.num, self.den * other.den)
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    method: str = "first"  # "first" | "second" | "interp"
-    variant: str = "fwd"  # "fwd" | "mirror", second procedure only
-    h: DeltaScalar = DEFAULT_H
 
 
 def _pair_generator(shape: Shape, kind: str, i: int, j: int):
@@ -180,56 +157,50 @@ def step_function(shape: Shape, contents, k: int) -> AlgebraRat:
     return acc
 
 
-def _square_factors(contents, lo: int, k: int) -> tuple:
-    """prod (u - c_j)^2 and prod ((u - c_j)^2 - 1) over the steps lo <= j < k."""
-    one_poly = UniPoly([ONE], ZERO)
-    num, den = one_poly, one_poly
-    for j in range(lo, k):
-        lin = UniPoly([-contents[j - 1], ONE], ZERO)
-        sq = lin * lin
-        num = num * sq
-        den = den * (sq - one_poly)
-    return num, den
+def step_prefactor(shape: Shape, contents, k: int, h=None) -> tuple:
+    """The step-k scalar prefactor prod (u - a)/prod (u - b) as its roots
+    (zeros, poles).
 
-
-def step_prefactor(shape: Shape, contents, k: int) -> ScalarRat:
-    """(u - c_k)/(u - d*eps(k)) times the square factors over earlier same-side steps."""
+    (u - c_k)/(u - d*eps(k)) times (u - c_j)^2/((u - c_j - 1)(u - c_j + 1))
+    for each earlier step j on the same side of the wall; with h (the second
+    procedure, after the wall) also (u - h + d)/(u + c_k - h).
+    """
     after = k > shape.r
-    sq, sq_less_one = _square_factors(contents, shape.r + 1 if after else 1, k)
-    num = UniPoly([-contents[k - 1], ONE], ZERO) * sq
-    den = UniPoly([-(DELTA if after else ZERO), ONE], ZERO) * sq_less_one
-    return ScalarRat(num, den)
+    c = contents[k - 1]
+    zeros, poles = [c], [DELTA if after else ZERO]
+    for cj in contents[shape.r if after else 0 : k - 1]:
+        zeros += [cj, cj]
+        poles += [cj + 1, cj - 1]
+    if h is not None:
+        zeros.append(h - DELTA)
+        poles.append(h - c)
+    return zeros, poles
 
 
-def _taylor(p: UniPoly, c):
-    """The Taylor coefficients of p at u = c, lowest order first, then zeros."""
-    while True:
-        p, rem = p.divmod_linear(c)
-        yield rem
-
-
-def _evaluate_step_info(e_prev, factors, k: int, z: ScalarRat, c, h=None, multiply_left=False):
+def _evaluate_step_info(e_prev, factors, k: int, z, c, h=None, multiply_left=False):
     """z * e_prev * (the factors of the spec on the sites (i, k)) at u = c,
-    after cancelling the (u - c)^m pole; returns (value, m).  With
-    multiply_left the factors stand left of e_prev.
+    after cancelling the (u - c)^m pole; returns (value, m).  z is a scalar
+    prefactor as its roots (zeros, poles).  With multiply_left the factors
+    stand left of e_prev.
 
     With u = c + eps a factor at a + b*u is 1 + sign*g/(den0 + b*eps),
     den0 = a + shift + b*c.  Divided by den0, or by b*eps when den0 = 0, it
     is the two-term series f0 + f1*eps with f0 = 1 + sign*g/den0 and
     f1 = b/den0, or f0 = sign*b*g and f1 = 1.  So m is the number of
-    vanishing den0 plus the order of c as a root of z.den, and what is left
-    of the denominator at eps = 0 is the lowest Taylor coefficient of z.den.
-    If z.num vanishes to order p at c, the value needs only the
-    coefficients E_0..E_{m-p} of e_prev times the factors; each factor maps
-    E_j to E_j*f0 + f1*E_{j-1}, one product with a single diagram.  The
-    numerator's eps^j coefficients below eps^m must vanish, else
-    CancellationFailure.
+    vanishing den0 plus the number of poles at c, and what is left of the
+    denominator at eps = 0 is the product of c - b over the other poles b.
+    If p zeros lie at c, the value needs only the coefficients E_0..E_{m-p}
+    of e_prev times the factors, and those of the product of eps + c - a
+    over the other zeros a; each factor maps E_j to E_j*f0 + f1*E_{j-1},
+    one product with a single diagram.  The numerator's eps^j coefficients
+    below eps^m must vanish, else CancellationFailure.
     """
     shape = e_prev.shape
-    den = _taylor(z.den, c)
-    m, lead = 0, next(den)
-    while not lead:
-        m, lead = m + 1, next(den)
+    zeros, poles = z
+    m, lead = poles.count(c), ONE
+    for b in poles:
+        if b != c:
+            lead = lead * (c - b)
     series_factors = []  # (g, f0 has the term 1, f1)
     for kind, i, a, b in factors:
         gen, shift, sign = _factor_kind(shape, kind, i, k, h)
@@ -241,11 +212,15 @@ def _evaluate_step_info(e_prev, factors, k: int, z: ScalarRat, c, h=None, multip
         else:
             m += 1
             series_factors.append((AlgebraElement.from_diagram(gen, sign * bs), False, ONE))
-    taylor = list(islice(_taylor(z.num, c), m + 1))
-    low = next((i for i, t in enumerate(taylor) if t), m + 1)
-    if low > m:
+    depth = m - zeros.count(c)
+    if depth < 0:
         return AlgebraElement.zero(shape), m
-    depth = m - low
+    taylor = [ONE] + [ZERO] * depth
+    for a in zeros:
+        if a != c:
+            offset = c - a
+            for j in range(depth, -1, -1):
+                taylor[j] = taylor[j] * offset + (taylor[j - 1] if j else ZERO)
     series = [e_prev] + [AlgebraElement.zero(shape)] * depth
     if multiply_left:
         series_factors.reverse()
@@ -261,8 +236,8 @@ def _evaluate_step_info(e_prev, factors, k: int, z: ScalarRat, c, h=None, multip
     for j in range(depth + 1):
         coeff = AlgebraElement.zero(shape)
         for i in range(j + 1):
-            if taylor[low + i] and series[j - i]:
-                coeff = coeff + series[j - i].scale(taylor[low + i])
+            if taylor[i] and series[j - i]:
+                coeff = coeff + series[j - i].scale(taylor[i])
         if j < depth and coeff:
             raise CancellationFailure(
                 f"pole of order {m} at u = {scalar_str(c)} does not cancel"
@@ -316,20 +291,9 @@ def minimal_prefactor(t: WalledTableau) -> tuple:
     )
 
 
-def _minimal_step_prefactor(c, p: int) -> ScalarRat:
-    lin = UniPoly([-c, ONE], ZERO)
-    one_poly = UniPoly([ONE], ZERO)
-    if p == 0:
-        return ScalarRat(one_poly, one_poly)
-    if p > 0:
-        num = one_poly
-        for _ in range(p):
-            num = num * lin
-        return ScalarRat(num, one_poly)
-    den = one_poly
-    for _ in range(-p):
-        den = den * lin
-    return ScalarRat(one_poly, den)
+def _minimal_step_prefactor(c, p: int) -> tuple:
+    """(u - c)^p as its roots (zeros, poles)."""
+    return [c] * max(p, 0), [c] * max(-p, 0)
 
 
 def leftover_prefactor_value(shape: Shape, contents, p) -> DeltaScalar:
@@ -341,19 +305,23 @@ def leftover_prefactor_value(shape: Shape, contents, p) -> DeltaScalar:
     total = ONE
     for k in range(1, len(contents) + 1):
         c = contents[k - 1]
-        z = step_prefactor(shape, contents, k)
-        minimal = _minimal_step_prefactor(c, p[k - 1] if k > shape.r else 0)
-        num, den = z.num * minimal.den, z.den * minimal.num
-        md = root_multiplicity(den, c)
-        if md:
-            mn = root_multiplicity(num, c)
-            if md > mn:
-                raise CancellationFailure(
-                    f"prefactor leftover has a pole of order {md - mn} at step {k}"
-                )
-            num = divide_linear_power(num, c, md)
-            den = divide_linear_power(den, c, md)
-        total = total * num.eval_at(c) * den.eval_at(c).inverse()
+        zeros, poles = step_prefactor(shape, contents, k)
+        min_zeros, min_poles = _minimal_step_prefactor(c, p[k - 1] if k > shape.r else 0)
+        num, den = zeros + min_poles, poles + min_zeros
+        mn, md = num.count(c), den.count(c)
+        if md > mn:
+            raise CancellationFailure(
+                f"prefactor leftover has a pole of order {md - mn} at step {k}"
+            )
+        num_value = ONE if mn == md else ZERO  # mn > md: the leftover vanishes at c
+        den_value = ONE
+        for a in num:
+            if a != c:
+                num_value = num_value * (c - a)
+        for b in den:
+            if b != c:
+                den_value = den_value * (c - b)
+        total = total * num_value * den_value.inverse()
     return total
 
 
@@ -415,15 +383,6 @@ def _second_block_factors(shape: Shape, contents, k: int, mirror: bool) -> list:
     return factors
 
 
-def second_step_prefactor(shape: Shape, contents, k: int, h) -> ScalarRat:
-    """(u-c_k)(u-h+d) / ((u-d)(u+c_k-h)) times the same-side square factors."""
-    c = contents[k - 1]
-    sq, sq_less_one = _square_factors(contents, shape.r + 1, k)
-    num = UniPoly([-c, ONE], ZERO) * UniPoly([DELTA - h, ONE], ZERO) * sq
-    den = UniPoly([-DELTA, ONE], ZERO) * UniPoly([c - h, ONE], ZERO) * sq_less_one
-    return ScalarRat(num, den)
-
-
 def second_fusion_idempotent(t: WalledTableau, h=DEFAULT_H, mirror=False) -> AlgebraElement:
     """The idempotent of the path by the free-parameter procedure."""
     shape, contents = t.shape, t.contents()
@@ -433,21 +392,23 @@ def second_fusion_idempotent(t: WalledTableau, h=DEFAULT_H, mirror=False) -> Alg
     e = fuse_contents(shape, contents, r)
     for k in range(r + 1, n + 1):
         factors = _second_block_factors(shape, contents, k, mirror)
-        z = second_step_prefactor(shape, contents, k, h)
+        z = step_prefactor(shape, contents, k, h)
         e = _evaluate_step_info(e, factors, k, z, contents[k - 1], h, mirror)[0]
     return e
 
 
-def idempotent_by(t: WalledTableau, cfg: FusionConfig) -> AlgebraElement:
-    if cfg.method == "first":
+def idempotent_by(t: WalledTableau, method="first", variant="fwd", h=DEFAULT_H) -> AlgebraElement:
+    """The idempotent of t by method "first", "second" (variant "fwd" or
+    "mirror", parameter h) or "interp"."""
+    if method == "first":
         return fusion_idempotent(t)
-    if cfg.method == "second":
-        return second_fusion_idempotent(t, cfg.h, mirror=cfg.variant == "mirror")
-    if cfg.method == "interp":
+    if method == "second":
+        return second_fusion_idempotent(t, h, mirror=variant == "mirror")
+    if method == "interp":
         from .verify import interp_idempotent
 
         return interp_idempotent(t)
-    raise IndexOutOfRange(f"unknown method {cfg.method!r}")
+    raise IndexOutOfRange(f"unknown method {method!r}")
 
 
 # Numeric products for the identity battery and the proof-level checks.

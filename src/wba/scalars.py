@@ -465,6 +465,9 @@ class _Tokens:
 # a parsed power may reach at most this degree in d, so that nested powers
 # such as (d^100)^100 stay bounded too
 _MAX_POWER_DEGREE = 256
+# an integer literal has at most this many digits, well below the limit of
+# Python's int() on decimal strings
+_MAX_INT_DIGITS = 1000
 
 
 def parse_scalar(text: str) -> DeltaScalar:
@@ -540,16 +543,21 @@ def _parse_atom(toks):
     if ch == "d":
         toks.take()
         return DELTA
-    if ch.isdigit():
+    if ch.isdecimal():
         return DeltaScalar.from_int(_parse_int(toks))
     raise ParseError(f"unexpected character {ch!r}", toks.pos)
 
 
 def _parse_int(toks) -> int:
     ch = toks.peek()
-    if ch is None or not ch.isdigit():
+    if ch is None or not ch.isdecimal():
         raise ParseError("expected an integer", toks.pos)
+    start = toks.pos
     digits = []
-    while toks.peek() is not None and toks.peek().isdigit():
+    while toks.peek() is not None and toks.peek().isdecimal():
         digits.append(toks.take())
+    if len(digits) > _MAX_INT_DIGITS:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits, more than {_MAX_INT_DIGITS}", start
+        )
     return int("".join(digits))

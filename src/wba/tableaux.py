@@ -130,7 +130,20 @@ def parse_move(text: str) -> Move:
     kind = m.group(1) + m.group(2)
     if kind == "R-":
         raise ParseError(f"boxes are never removed from the right diagram: {text!r}")
-    return Move(kind, int(m.group(3)), int(m.group(4)))
+    try:
+        return Move(kind, int(m.group(3)), int(m.group(4)))
+    except ValueError as exc:  # a decimal string too long for int()
+        raise ParseError(f"cannot parse move {text!r}") from exc
+
+
+def _advance(state: Bipartition, move: Move) -> Bipartition:
+    """The bipartition after a move known to be legal from state."""
+    cell = (move.row, move.col)
+    if move.kind == "L+":
+        return Bipartition(state.left.with_cell(cell), state.right)
+    if move.kind == "R+":
+        return Bipartition(state.left, state.right.with_cell(cell))
+    return Bipartition(state.left.without_cell(cell), state.right)
 
 
 @dataclass(frozen=True)
@@ -151,19 +164,17 @@ class WalledTableau:
                     raise IllegalMove(t, f"step {t} <= r must add to the left diagram")
                 if cell not in state.left.addable_cells():
                     raise IllegalMove(t, f"cell {cell} not addable to {state.left.parts}")
-                state = Bipartition(state.left.with_cell(cell), state.right)
             elif move.kind == "R+":
                 if cell not in state.right.addable_cells():
                     raise IllegalMove(t, f"cell {cell} not addable to {state.right.parts}")
-                state = Bipartition(state.left, state.right.with_cell(cell))
             elif move.kind == "L-":
                 if cell not in state.left.removable_cells():
                     raise IllegalMove(
                         t, f"cell {cell} not removable from {state.left.parts}"
                     )
-                state = Bipartition(state.left.without_cell(cell), state.right)
             else:
                 raise IllegalMove(t, f"unknown move kind {move.kind!r}")
+            state = _advance(state, move)
             steps.append(state)
         if len(self.moves) != n:
             raise IllegalMove(len(self.moves) + 1, f"path length must be {n}")
@@ -237,15 +248,8 @@ def enumerate_tableaux(shape: Shape, final: Optional[Bipartition] = None) -> lis
                 out.append(WalledTableau(shape, tuple(acc)))
             return
         for move in _legal_moves(state, t, r):
-            cell = (move.row, move.col)
-            if move.kind == "L+":
-                nxt = Bipartition(state.left.with_cell(cell), state.right)
-            elif move.kind == "R+":
-                nxt = Bipartition(state.left, state.right.with_cell(cell))
-            else:
-                nxt = Bipartition(state.left.without_cell(cell), state.right)
             acc.append(move)
-            extend(nxt, t + 1, acc)
+            extend(_advance(state, move), t + 1, acc)
             acc.pop()
 
     extend(Bipartition(), 1, [])
@@ -261,15 +265,8 @@ def tableau_from_contents(shape: Shape, contents: Iterable[DeltaScalar]) -> Wall
         matches = [m for m in _legal_moves(state, t, r) if m.content() == c]
         if len(matches) != 1:
             raise IllegalMove(t, f"{len(matches)} moves match content {scalar_str(c)}")
-        move = matches[0]
-        cell = (move.row, move.col)
-        if move.kind == "L+":
-            state = Bipartition(state.left.with_cell(cell), state.right)
-        elif move.kind == "R+":
-            state = Bipartition(state.left, state.right.with_cell(cell))
-        else:
-            state = Bipartition(state.left.without_cell(cell), state.right)
-        moves.append(move)
+        state = _advance(state, matches[0])
+        moves.append(matches[0])
     return WalledTableau(shape, tuple(moves))
 
 
@@ -474,13 +471,7 @@ def bratteli(shape: Shape) -> BratteliGraph:
         level_edges = []
         for i, state in enumerate(levels[-1]):
             for move in _legal_moves(state, t, shape.r):
-                cell = (move.row, move.col)
-                if move.kind == "L+":
-                    child = Bipartition(state.left.with_cell(cell), state.right)
-                elif move.kind == "R+":
-                    child = Bipartition(state.left, state.right.with_cell(cell))
-                else:
-                    child = Bipartition(state.left.without_cell(cell), state.right)
+                child = _advance(state, move)
                 j = index.get(child)
                 if j is None:
                     j = len(nxt)

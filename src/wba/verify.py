@@ -24,7 +24,6 @@ from .errors import CancellationFailure, ZeroDenominator
 from .fusion import (
     DEFAULT_H,
     AlgebraRat,
-    _square_factors,
     baxter_factor,
     fuse_contents,
     fusion_idempotent,
@@ -36,6 +35,7 @@ from .fusion import (
     second_fusion_idempotent,
     second_product_numeric,
     step_function,
+    step_prefactor,
 )
 from .scalars import DELTA, ONE, ZERO, DeltaScalar, affine
 from .tableaux import WalledTableau, enumerate_tableaux, exponents
@@ -292,11 +292,22 @@ def check_wall_crossing(shape: Shape) -> dict:
     return {"pass": ok, "instances": checked}
 
 
+def _root_poly(roots) -> UniPoly:
+    """prod (u - a) over the roots a, as a scalar polynomial."""
+    p = UniPoly([ONE], ZERO)
+    for a in roots:
+        p = p * UniPoly([-a, ONE], ZERO)
+    return p
+
+
 def check_jm_resolvent(shape: Shape) -> dict:
     """Cleared form of the step identity that produces the JM resolvent:
 
     E * psi_n(u) * (u - x_n) * prod (u - c_i)^2
         == (u - d) * prod ((u - c_i)^2 - 1) * E * den(psi_n)
+
+    The products are the step-n prefactor's roots less its zero at c_n,
+    whose place (u - x_n) takes.
     """
     r, n = shape.r, shape.n
     if shape.s < 1:
@@ -313,8 +324,8 @@ def check_jm_resolvent(shape: Shape) -> dict:
         lhs = UniPoly([e * c for c in psi.num.coeffs], zero_elem)
         lhs = lhs * UniPoly([-x, one_elem], zero_elem)
         rhs = UniPoly([e], zero_elem) * psi.den
-        sq, sq_less_one = _square_factors(contents, r + 1, n)
-        ok = ok and lhs * sq == rhs * (UniPoly([-DELTA, ONE], ZERO) * sq_less_one)
+        zeros, poles = step_prefactor(shape, (*contents, x), n)
+        ok = ok and lhs * _root_poly(zeros[1:]) == rhs * _root_poly(poles)
         checked += 1
     return {"pass": ok, "instances": checked}
 

@@ -16,6 +16,8 @@ from wba.fusion import fusion_idempotent
 from wba.tableaux import enumerate_tableaux, parse_tableau
 
 GOLDEN_SPEC = "L+1,1;L+2,1;L-2,1;L-1,1"
+EMPTY_11 = {"r": 1, "s": 1, "terms": []}
+LONG = "9" * 5000  # more digits than Python's int() converts from a string
 
 
 def run(capsys, *argv):
@@ -44,6 +46,7 @@ def test_tableaux_count_is_the_number_of_paths(capsys, n):
         ["tableaux", "13", "12"],
         ["tableaux", "5", "5"],
         ["bratteli", "11", "10"],
+        ["jm", "13", "12", "1"],
     ],
 )
 def test_oversized_request_is_a_usage_error(capsys, argv):
@@ -148,6 +151,25 @@ def test_usage_error_exit_code(capsys):
         (["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--delta-rational", "abc"], None, {}),
         (["verify", "1", "1", "--suite", "system", "--delta-rational", "1/0"], None, {}),
         (["verify", "1", "1", "--suite", "yang-baxter"], None, {"WBA_SEED": "x"}),
+        pytest.param(
+            ["mul"], json.dumps([{"r": "x", "s": 1, "terms": []}, EMPTY_11]), {},
+            id="mul-non-integer-shape",
+        ),
+        pytest.param(
+            ["mul"],
+            json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [1, 2], "coeff": LONG}]}, EMPTY_11]),
+            {},
+            id="mul-long-coeff",
+        ),
+        pytest.param(
+            ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
+             "--h", LONG], None, {},
+            id="idempotent-long-h",
+        ),
+        pytest.param(
+            ["idempotent", "1", "1", "--tableau", "L+1,1;L-1," + LONG], None, {},
+            id="idempotent-long-move",
+        ),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, stdin, env):

@@ -19,6 +19,7 @@ from wba.fusion import AlgebraRat, baxter_factor
 from wba.scalars import scalar_str
 from wba.tableaux import enumerate_tableaux, exponents
 from wba.upoly import UniPoly, divide_linear_power, root_multiplicity
+from wba.verify import _root_poly
 
 
 def oracle_step(e_prev, factors, k, z, c, h=None, multiply_left=False):
@@ -31,8 +32,9 @@ def oracle_step(e_prev, factors, k, z, c, h=None, multiply_left=False):
         coeffs = [coef * e_prev for coef in psi.num.coeffs]
     else:
         coeffs = [e_prev * coef for coef in psi.num.coeffs]
-    num = UniPoly(coeffs, AlgebraElement.zero(shape)) * z.num
-    den = psi.den * z.den
+    zeros, poles = z
+    num = UniPoly(coeffs, AlgebraElement.zero(shape)) * _root_poly(zeros)
+    den = psi.den * _root_poly(poles)
     m = root_multiplicity(den, c)
     if m:
         den = divide_linear_power(den, c, m)

@@ -4,10 +4,9 @@ import pytest
 
 from wba.algebra import AlgebraElement, iota, jm_element
 from wba.diagrams import Shape, d_gen, s_gen
-from wba.errors import CancellationFailure, NonGenericH, ParityViolation
+from wba.errors import CancellationFailure, IndexOutOfRange, NonGenericH, ParityViolation
 from wba.fusion import (
     DEFAULT_H,
-    ScalarRat,
     _evaluate_step_info,
     _step_factors,
     baxter_factor,
@@ -15,6 +14,7 @@ from wba.fusion import (
     fusion_idempotent,
     fusion_with_minimal_prefactor,
     h_is_generic,
+    idempotent_by,
     identity_checks,
     minimal_prefactor,
     psi_step_numeric,
@@ -26,6 +26,7 @@ from wba.fusion import (
 from wba.scalars import DELTA, ONE, ZERO, affine
 from wba.tableaux import enumerate_tableaux, exponents, parse_tableau
 from wba.upoly import UniPoly
+from wba.verify import _root_poly
 
 S11 = Shape(1, 1)
 S22 = Shape(2, 2)
@@ -166,8 +167,12 @@ def test_step_function_after_wall_three_factors():
     assert psi.num == oracle.num and psi.den == oracle.den
 
 
-def _rat_equal(z: ScalarRat, num_coeffs, den_coeffs):
-    return z.num == UniPoly(num_coeffs, ZERO) and z.den == UniPoly(den_coeffs, ZERO)
+def _rat_equal(z, num_coeffs, den_coeffs):
+    zeros, poles = z
+    return (
+        _root_poly(zeros) == UniPoly(num_coeffs, ZERO)
+        and _root_poly(poles) == UniPoly(den_coeffs, ZERO)
+    )
 
 
 def test_step_prefactor_first_after_wall_step():
@@ -184,7 +189,7 @@ def test_step_prefactor_with_square_factors():
     num = UniPoly([ZERO, ONE], ZERO) * UniPoly([-ONE, ONE], ZERO) * UniPoly([-ONE, ONE], ZERO)
     sq = UniPoly([-ONE, ONE], ZERO)
     den = UniPoly([-DELTA, ONE], ZERO) * (sq * sq - UniPoly([ONE], ZERO))
-    assert z.num == num and z.den == den
+    assert _root_poly(z[0]) == num and _root_poly(z[1]) == den
 
 
 def test_step_prefactor_before_wall():
@@ -192,7 +197,19 @@ def test_step_prefactor_before_wall():
     z = step_prefactor(Shape(2, 1), (ZERO, -ONE, ONE), 2)
     num = UniPoly([ONE, ONE], ZERO) * UniPoly([ZERO, ZERO, ONE], ZERO)
     den = UniPoly([ZERO, ONE], ZERO) * UniPoly([-ONE, ZERO, ONE], ZERO)
-    assert z.num == num and z.den == den
+    assert _root_poly(z[0]) == num and _root_poly(z[1]) == den
+
+
+def test_step_prefactor_second_procedure():
+    # (u - c_4)(u - h + d)/((u - d)(u + c_4 - h)) * (u - c_3)^2/((u - c_3)^2 - 1)
+    t = parse_tableau("L+1,1;R+1,1;R+1,2", Shape(1, 2))
+    c, h = t.contents(), DEFAULT_H
+    z = step_prefactor(t.shape, c, 3, h)
+    lin = UniPoly([-c[1], ONE], ZERO)
+    num = UniPoly([-c[2], ONE], ZERO) * UniPoly([DELTA - h, ONE], ZERO) * lin * lin
+    den = UniPoly([-DELTA, ONE], ZERO) * UniPoly([c[2] - h, ONE], ZERO)
+    den = den * (lin * lin - UniPoly([ONE], ZERO))
+    assert _root_poly(z[0]) == num and _root_poly(z[1]) == den
 
 
 def test_evaluate_step_reaches_contraction_leaf():
@@ -213,7 +230,7 @@ def test_evaluate_step_other_leaf_cancels_pole():
 
 
 def test_evaluate_step_degenerate_passthrough():
-    z = ScalarRat.one()
+    z = ([], [])
     e = elem(d_gen(S11)) + one(S11)
     assert _evaluate_step_info(e, [], 2, z, affine(7)) == (e, 0)
 
@@ -365,3 +382,13 @@ def test_fusion_steps_stay_sparse(monkeypatch):
     second_fusion_idempotent(t, mirror=True)
     fusion_with_minimal_prefactor(t)
     assert calls == []
+
+
+def test_idempotent_by_takes_the_method_directly():
+    t = parse_tableau(GOLDEN_SPEC, S22)
+    expected = fusion_idempotent(t)
+    assert idempotent_by(t) == expected
+    assert idempotent_by(t, "second", "mirror", DEFAULT_H) == expected
+    assert idempotent_by(t, method="interp") == expected
+    with pytest.raises(IndexOutOfRange):
+        idempotent_by(t, "third")

@@ -142,11 +142,18 @@ def test_parse_examples(text, value):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "d+", "2**d", "(d", "x", "d^d", "1/(d-d)", "d^99999999", "2^257", "(d^100)^3"],
+    ["", "d+", "2**d", "(d", "x", "d^d", "1/(d-d)", "d^99999999", "2^257", "(d^100)^3",
+     pytest.param("9" * 1001, id="1001-digits"),
+     pytest.param("d+" + "1" * 5000, id="5000-digits"),
+     "\u00b2", "d^\u00b2"],
 )
 def test_parse_errors(text):
     with pytest.raises((ParseError, DivisionByZero)):
         parse_scalar(text)
+
+
+def test_parse_integer_at_the_digit_bound():
+    assert parse_scalar("9" * 1000) == DeltaScalar.from_int(10**1000 - 1)
 
 
 def test_parse_power_at_the_degree_bound():

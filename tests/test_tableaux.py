@@ -8,7 +8,9 @@ from wba.errors import IllegalMove, ParseError
 from wba.scalars import DELTA, ONE, ZERO, affine, scalar_str
 from wba.tableaux import (
     Bipartition,
+    Move,
     Partition,
+    _advance,
     bratteli,
     diag_len,
     enumerate_bipartitions,
@@ -308,3 +310,11 @@ def test_parse_tableau_rejects_bad_moves():
 def test_enumeration_matches_bratteli_paths():
     for shape in (S11, Shape(1, 2), Shape(2, 1), S22, Shape(2, 3)):
         assert len(enumerate_tableaux(shape)) == bratteli(shape).path_count()
+
+
+
+def test_advance_applies_each_move_kind():
+    state = Bipartition(P(1), P(1))
+    assert _advance(state, Move("L+", 1, 2)) == Bipartition(P(2), P(1))
+    assert _advance(state, Move("R+", 2, 1)) == Bipartition(P(1), P(1, 1))
+    assert _advance(state, Move("L-", 1, 1)) == Bipartition(P(), P(1))
