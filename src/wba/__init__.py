@@ -32,7 +32,6 @@ from .algebra import (
 )
 from .fusion import (
     DEFAULT_H,
-    baxter_factor,
     fusion_idempotent,
     fusion_with_minimal_prefactor,
     identity_checks,

@@ -355,6 +355,13 @@ def element_to_json(a: AlgebraElement) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """value if it is a JSON integer: booleans, floats and strings are not."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
 def element_from_json(obj) -> AlgebraElement:
     if isinstance(obj, str):
         try:
@@ -362,10 +369,10 @@ def element_from_json(obj) -> AlgebraElement:
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
     try:
-        shape = Shape(int(obj["r"]), int(obj["s"]))
+        shape = Shape(_json_int(obj["r"]), _json_int(obj["s"]))
         terms = {}
         for i, term in enumerate(obj["terms"]):
-            d = make_diagram(shape, term["diagram"])
+            d = make_diagram(shape, [_json_int(v) for v in term["diagram"]])
             c = parse_scalar(term["coeff"])
             if d in terms:
                 raise ParseError(f"duplicate diagram in term {i}")

@@ -16,8 +16,6 @@ when a required prefactor is withheld.
 The second procedure depends on a free parameter h; its factor blocks use the
 modified elements 1 + g/(arg - h) and 1 + g/(arg + h - d) and a different
 prefactor, and admits a mirrored variant obtained by reversing every block.
-The symbolic product of a step's factors, a rational function of u with
-algebra coefficients, serves the proof lemmas only.
 """
 
 from __future__ import annotations
@@ -36,29 +34,8 @@ from .errors import (
 )
 from .scalars import DELTA, ONE, ZERO, DeltaScalar, affine, scalar_str
 from .tableaux import WalledTableau, exponents
-from .upoly import UniPoly
 
 DEFAULT_H = affine(Fraction(1, 2), 3)
-
-
-@dataclass(frozen=True)
-class AlgebraRat:
-    """An algebra-valued rational function of the live variable."""
-
-    shape: Shape
-    num: UniPoly  # AlgebraElement coefficients
-    den: UniPoly  # DeltaScalar coefficients
-
-    @staticmethod
-    def one(shape: Shape) -> "AlgebraRat":
-        return AlgebraRat(
-            shape,
-            UniPoly([AlgebraElement.one(shape)], AlgebraElement.zero(shape)),
-            UniPoly([ONE], ZERO),
-        )
-
-    def __mul__(self, other: "AlgebraRat") -> "AlgebraRat":
-        return AlgebraRat(self.shape, self.num * other.num, self.den * other.den)
 
 
 def _pair_generator(shape: Shape, kind: str, i: int, j: int):
@@ -86,29 +63,8 @@ def _factor_kind(shape: Shape, kind: str, i: int, j: int, h):
     return _pair_generator(shape, kind, i, j), shift, sign
 
 
-def baxter_factor(shape: Shape, kind: str, i: int, j: int, a, b: int = 1, h=None) -> AlgebraRat:
-    """The factor of the given kind at affine argument a + b*u.
-
-    kind "s"  : 1 - s_{i,j}/(a + b*u)
-    kind "d"  : 1 - d_{i,j}/(a + b*u)
-    kind "s'" : 1 + s_{i,j}/(a + b*u - h)
-    kind "d'" : 1 + d_{i,j}/(a + b*u + h - d)
-    """
-    if b not in (1, -1):
-        raise IndexOutOfRange(f"affine argument slope must be +1 or -1, got {b}")
-    a = a if isinstance(a, DeltaScalar) else DeltaScalar.from_fraction(a)
-    gen, shift, sign = _factor_kind(shape, kind, i, j, h)
-    one = AlgebraElement.one(shape)
-    bs = ONE if b == 1 else -ONE
-    den0 = a + shift
-    num0 = one.scale(den0) + AlgebraElement.from_diagram(gen, sign)
-    num = UniPoly([num0, one.scale(bs)], AlgebraElement.zero(shape))
-    den = UniPoly([den0, bs], ZERO)
-    return AlgebraRat(shape, num, den)
-
-
 def factor_at(shape: Shape, kind: str, i: int, j: int, arg: DeltaScalar, h=None) -> AlgebraElement:
-    """The factor of the given kind at a numeric argument; see baxter_factor."""
+    """The factor of the given kind at a numeric argument; see _factor_kind."""
     gen, shift, sign = _factor_kind(shape, kind, i, j, h)
     g = AlgebraElement.from_diagram(gen, sign * (arg + shift).inverse())
     return AlgebraElement.one(shape) + g
@@ -148,15 +104,6 @@ def _numeric_product(shape: Shape, factors, k: int, u, h=None, acc=None) -> Alge
     return acc
 
 
-def step_function(shape: Shape, contents, k: int) -> AlgebraRat:
-    """The step-k product of _step_factors at the contents, multiplied out as
-    a rational function of u; the proof lemmas check it symbolically."""
-    acc = AlgebraRat.one(shape)
-    for kind, i, a, b in _step_factors(shape, contents, k):
-        acc = acc * baxter_factor(shape, kind, i, k, a, b)
-    return acc
-
-
 def step_prefactor(shape: Shape, contents, k: int, h=None) -> tuple:
     """The step-k scalar prefactor prod (u - a)/prod (u - b) as its roots
     (zeros, poles).
@@ -177,72 +124,101 @@ def step_prefactor(shape: Shape, contents, k: int, h=None) -> tuple:
     return zeros, poles
 
 
+def _linear_factors(shape: Shape, factors, k: int, h=None) -> list:
+    """The factors of a spec on the sites (i, k) as (root, gen, coeff).
+
+    The factor at a + b*u is 1 + sign*g/(a + shift + b*u); as b = +-1 it is
+    ((u - root) + coeff*g)/(u - root) with root = -b*(a + shift) and
+    coeff = b*sign.
+    """
+    out = []
+    for kind, i, a, b in factors:
+        gen, shift, sign = _factor_kind(shape, kind, i, k, h)
+        root = -(a + shift) if b == 1 else a + shift
+        out.append((root, gen, sign if b == 1 else -sign))
+    return out
+
+
+def _fold(e, factors, c, depth: int, multiply_left=False) -> list:
+    """The eps^0..eps^depth coefficients of e times the numerators of the
+    factors (root, gen, coeff), as series in eps = u - c; with multiply_left
+    the factors stand left of e.
+
+    A numerator (eps + t) + coeff*g, t = c - root, is divided by t, or left
+    as it is where t = 0: the two-term series f0 + f1*eps with
+    f0 = 1 + coeff*g/t and f1 = 1/t, or f0 = coeff*g and f1 = 1.  Each factor
+    maps E_j to E_j*f0 + f1*E_{j-1}, one product with a single diagram.
+    """
+    series = [e] + [AlgebraElement.zero(e.shape)] * depth
+    for root, gen, coeff in reversed(factors) if multiply_left else factors:
+        t = c - root
+        f1 = t.inverse() if t else ONE
+        g = AlgebraElement.from_diagram(gen, coeff * f1)
+        for j in range(depth, -1, -1):
+            ej = series[j]
+            term = (g * ej if multiply_left else ej * g) if ej else ej
+            if t:
+                term = term + ej
+            if j and series[j - 1]:
+                term = term + (series[j - 1] if f1 is ONE else series[j - 1].scale(f1))
+            series[j] = term
+    return series
+
+
+def _taylor(roots, c, depth: int) -> list:
+    """The eps^0..eps^depth coefficients of prod (eps + c - a) over the roots a."""
+    taylor = [ONE] + [ZERO] * depth
+    for a in roots:
+        offset = c - a
+        for j in range(depth, -1, -1):
+            taylor[j] = taylor[j] * offset + (taylor[j - 1] if j else ZERO)
+    return taylor
+
+
+def _times(series, scalars) -> list:
+    """The element series times a scalar series at least as long, truncated
+    to the length of the element series."""
+    out = []
+    for j in range(len(series)):
+        coeff = AlgebraElement.zero(series[0].shape)
+        for i in range(j + 1):
+            if scalars[i] and series[j - i]:
+                coeff = coeff + series[j - i].scale(scalars[i])
+        out.append(coeff)
+    return out
+
+
 def _evaluate_step_info(e_prev, factors, k: int, z, c, h=None, multiply_left=False):
     """z * e_prev * (the factors of the spec on the sites (i, k)) at u = c,
     after cancelling the (u - c)^m pole; returns (value, m).  z is a scalar
     prefactor as its roots (zeros, poles).  With multiply_left the factors
     stand left of e_prev.
 
-    With u = c + eps a factor at a + b*u is 1 + sign*g/(den0 + b*eps),
-    den0 = a + shift + b*c.  Divided by den0, or by b*eps when den0 = 0, it
-    is the two-term series f0 + f1*eps with f0 = 1 + sign*g/den0 and
-    f1 = b/den0, or f0 = sign*b*g and f1 = 1.  So m is the number of
-    vanishing den0 plus the number of poles at c, and what is left of the
-    denominator at eps = 0 is the product of c - b over the other poles b.
-    If p zeros lie at c, the value needs only the coefficients E_0..E_{m-p}
-    of e_prev times the factors, and those of the product of eps + c - a
-    over the other zeros a; each factor maps E_j to E_j*f0 + f1*E_{j-1},
-    one product with a single diagram.  The numerator's eps^j coefficients
-    below eps^m must vanish, else CancellationFailure.
+    Each factor is its numerator over u - root (_linear_factors), and _fold
+    divides each numerator by c - root where that is nonzero.  So m is the
+    number of poles and factor roots at c, and what is left of the
+    denominator at eps = u - c = 0 is the product of c - b over the other
+    poles b.  If p zeros lie at c, the value needs only the coefficients
+    E_0..E_{m-p} of e_prev times the folded numerators, and those of the
+    product of eps + c - a over the other zeros a.  The numerator's eps^j
+    coefficients below eps^m must vanish, else CancellationFailure.
     """
     shape = e_prev.shape
     zeros, poles = z
-    m, lead = poles.count(c), ONE
-    for b in poles:
-        if b != c:
-            lead = lead * (c - b)
-    series_factors = []  # (g, f0 has the term 1, f1)
-    for kind, i, a, b in factors:
-        gen, shift, sign = _factor_kind(shape, kind, i, k, h)
-        bs = ONE if b == 1 else -ONE
-        den0 = a + shift + bs * c
-        if den0:
-            inv = den0.inverse()
-            series_factors.append((AlgebraElement.from_diagram(gen, sign * inv), True, bs * inv))
-        else:
-            m += 1
-            series_factors.append((AlgebraElement.from_diagram(gen, sign * bs), False, ONE))
+    linear = _linear_factors(shape, factors, k, h)
+    m = poles.count(c) + [root for root, _, _ in linear].count(c)
     depth = m - zeros.count(c)
     if depth < 0:
         return AlgebraElement.zero(shape), m
-    taylor = [ONE] + [ZERO] * depth
-    for a in zeros:
-        if a != c:
-            offset = c - a
-            for j in range(depth, -1, -1):
-                taylor[j] = taylor[j] * offset + (taylor[j - 1] if j else ZERO)
-    series = [e_prev] + [AlgebraElement.zero(shape)] * depth
-    if multiply_left:
-        series_factors.reverse()
-    for g, has_one, f1 in series_factors:
-        for j in range(depth, -1, -1):
-            ej = series[j]
-            term = (g * ej if multiply_left else ej * g) if ej else ej
-            if has_one:
-                term = term + ej
-            if j and series[j - 1]:
-                term = term + (series[j - 1] if f1 is ONE else series[j - 1].scale(f1))
-            series[j] = term
-    for j in range(depth + 1):
-        coeff = AlgebraElement.zero(shape)
-        for i in range(j + 1):
-            if taylor[i] and series[j - i]:
-                coeff = coeff + series[j - i].scale(taylor[i])
-        if j < depth and coeff:
-            raise CancellationFailure(
-                f"pole of order {m} at u = {scalar_str(c)} does not cancel"
-            )
-    return coeff.scale(lead.inverse()), m
+    series = _fold(e_prev, linear, c, depth, multiply_left)
+    coeffs = _times(series, _taylor([a for a in zeros if a != c], c, depth))
+    if any(coeffs[:depth]):
+        raise CancellationFailure(f"pole of order {m} at u = {scalar_str(c)} does not cancel")
+    lead = ONE
+    for b in poles:
+        if b != c:
+            lead = lead * (c - b)
+    return coeffs[depth].scale(lead.inverse()), m
 
 
 def fuse_contents(shape: Shape, contents, upto=None) -> AlgebraElement:

@@ -6,11 +6,12 @@ algebra elements.  The evaluation point is always a central scalar, so Horner
 evaluation and synthetic division are valid on both coefficient kinds.  Each
 polynomial carries the zero of its coefficient ring explicitly because the
 ring (for algebra coefficients) depends on the shape.
+
+No module of wba uses it: the symbolic oracle of the tests builds on it, and
+the benchmark's tracer wraps its product and its division by u - c.
 """
 
 from __future__ import annotations
-
-from .errors import NonzeroRemainder
 
 
 class UniPoly:
@@ -67,10 +68,6 @@ class UniPoly:
                 out[i + j] = out[i + j] + a * b
         return UniPoly(out, self.zero)
 
-    def scale(self, c):
-        """Multiply every coefficient by a central scalar."""
-        return UniPoly([a * c for a in self.coeffs], self.zero)
-
     def eval_at(self, c):
         """Horner evaluation at a central scalar."""
         if not self.coeffs:
@@ -95,26 +92,3 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
-
-
-def divide_linear_power(p: UniPoly, c, m: int) -> UniPoly:
-    """Divide p exactly by (u - c)^m, raising NonzeroRemainder on failure."""
-    for step in range(m):
-        p, rem = p.divmod_linear(c)
-        if rem:
-            raise NonzeroRemainder(
-                f"(u - c)^{m} does not divide the polynomial (failed at factor {step + 1})"
-            )
-    return p
-
-
-def root_multiplicity(p: UniPoly, c) -> int:
-    """Multiplicity of the root c in a nonzero polynomial."""
-    m = 0
-    while p:
-        q, rem = p.divmod_linear(c)
-        if rem:
-            return m
-        m += 1
-        p = q
-    return m

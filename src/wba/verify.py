@@ -7,8 +7,9 @@ certifies a whole shape: idempotency, pairwise orthogonality, completeness,
 JM spectra, flip stability and cross-method agreement, all in exact
 arithmetic inside the regular representation.  check_proof_lemmas verifies
 the factorization, wall-crossing, resolvent and mirror identities that drive
-the procedures, either as cleared polynomial identities in a symbolic
-variable or at random rational points off the poles.
+the procedures, either as cleared polynomial identities compared coefficient
+by coefficient in a series variable or at random rational points off the
+poles.
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ from .diagrams import Shape
 from .errors import CancellationFailure, ZeroDenominator
 from .fusion import (
     DEFAULT_H,
-    AlgebraRat,
-    baxter_factor,
+    _fold,
+    _linear_factors,
+    _step_factors,
+    _taylor,
+    _times,
     fuse_contents,
     fusion_idempotent,
     fusion_with_minimal_prefactor,
@@ -34,12 +38,10 @@ from .fusion import (
     psi_step_numeric,
     second_fusion_idempotent,
     second_product_numeric,
-    step_function,
     step_prefactor,
 )
 from .scalars import DELTA, ONE, ZERO, DeltaScalar, affine
 from .tableaux import WalledTableau, enumerate_tableaux, exponents
-from .upoly import UniPoly
 
 
 def interp_idempotent(t: WalledTableau) -> AlgebraElement:
@@ -265,67 +267,93 @@ def check_factorization_identity(shape: Shape, seed: int = 0, points: int = 3) -
     return {"pass": ok, "instances": checked}
 
 
+def _fold_about_zero(e, factors) -> tuple:
+    """(F, K): F = _fold(e, factors, 0, number of factors), the full
+    coefficient list of e times the factor numerators (see _linear_factors)
+    over K, as a polynomial in eps = u; K, which _fold divides out, is the
+    product of -root over the roots other than 0."""
+    k = ONE
+    for root, _, _ in factors:
+        if root:
+            k = -k * root
+    return _fold(e, factors, ZERO, len(factors)), k
+
+
 def check_wall_crossing(shape: Shape) -> dict:
-    """Cleared polynomial identity in a symbolic w, for every symmetric-group
-    stage idempotent of the shape:
+    """The wall-crossing identity, for every symmetric-group stage
+    idempotent E of the shape:
 
     E * d_{1,r+1}(w - c_1) ... d_{r,r+1}(w - c_r) == (w - d + x_{r+1})/w * E
+
+    The factor d_{i,r+1}(w - c_i) is ((w - c_i) - d_{i,r+1})/(w - c_i).
+    Times w * prod (w - c_i) / K, with eps = w and (F, K) from
+    _fold_about_zero, the identity is
+
+    eps * F(eps) == prod (eps - a) * E/K + prod (eps - c_i) * x_{r+1} E/K,
+
+    a over the c_i and d.  Both sides are the full coefficient lists of
+    polynomials of degree at most r + 1 in eps, so equal lists are the
+    cleared identity, and it divided by the nonzero w * prod (w - c_i) / K.
     """
     r = shape.r
     if shape.s < 1:
         raise ZeroDenominator("wall crossing needs a site right of the wall")
-    zero_elem = AlgebraElement.zero(shape)
     x = jm_element(shape, r + 1)
     checked = 0
     ok = True
     for prefix in enumerate_tableaux(Shape(r, 0)):
         contents = prefix.contents()
         e = fuse_contents(shape, contents, r)
-        lhs = AlgebraRat.one(shape)
-        for i in range(1, r + 1):
-            lhs = lhs * baxter_factor(shape, "d", i, r + 1, -contents[i - 1], 1)
-        lhs_num = UniPoly([e * c for c in lhs.num.coeffs], zero_elem)
-        rhs_num = UniPoly([(x - AlgebraElement.one(shape).scale(DELTA)) * e, e], zero_elem)
-        rhs_den = UniPoly([ZERO, ONE], ZERO)
-        ok = ok and lhs_num * rhs_den == rhs_num * lhs.den
+        spec = [("d", i, -contents[i - 1], 1) for i in range(1, r + 1)]
+        folded, k = _fold_about_zero(e, _linear_factors(shape, spec, r + 1))
+        e = e.scale(k.inverse())
+        xe = x * e
+        with_d = _taylor([*contents, DELTA], ZERO, r + 1)
+        rhs = [e.scale(p) + xe.scale(q) for p, q in zip(with_d, _taylor(contents, ZERO, r + 1))]
+        ok = ok and [AlgebraElement.zero(shape)] + folded == rhs
         checked += 1
     return {"pass": ok, "instances": checked}
 
 
-def _root_poly(roots) -> UniPoly:
-    """prod (u - a) over the roots a, as a scalar polynomial."""
-    p = UniPoly([ONE], ZERO)
-    for a in roots:
-        p = p * UniPoly([-a, ONE], ZERO)
-    return p
-
-
 def check_jm_resolvent(shape: Shape) -> dict:
-    """Cleared form of the step identity that produces the JM resolvent:
+    """The step identity that produces the JM resolvent, for every
+    idempotent E of a path to the first n - 1 sites:
 
-    E * psi_n(u) * (u - x_n) * prod (u - c_i)^2
-        == (u - d) * prod ((u - c_i)^2 - 1) * E * den(psi_n)
+    E * psi_n(u) * (u - x_n) * prod (u - a) == E * prod (u - b)
 
-    The products are the step-n prefactor's roots less its zero at c_n,
-    whose place (u - x_n) takes.
+    with psi_n the step-n product of _step_factors at the path's contents,
+    a over the step-n prefactor's zeros less its zero at c_n, whose place
+    (u - x_n) takes, and b over its poles.  Each factor of psi_n is its
+    numerator over u - root.  Times the product of u - root over K, with
+    eps = u and (F, K) from _fold_about_zero, the identity is
+
+    F(eps) * (eps - x_n) * prod (eps - a) == prod (eps - b) * E/K,
+
+    b now also over the roots.  Both sides are the full coefficient lists of
+    polynomials of degree at most the number of roots and poles, so equal
+    lists are the cleared identity, and it divided by the nonzero product of
+    u - root over K.
     """
     r, n = shape.r, shape.n
     if shape.s < 1:
         raise ZeroDenominator("needs a site right of the wall")
     zero_elem = AlgebraElement.zero(shape)
-    one_elem = AlgebraElement.one(shape)
     x = jm_element(shape, n)
     checked = 0
     ok = True
     for prefix in enumerate_tableaux(Shape(r, shape.s - 1)):
         contents = prefix.contents()
         e = fuse_contents(shape, contents, n - 1)
-        psi = step_function(shape, contents, n)
-        lhs = UniPoly([e * c for c in psi.num.coeffs], zero_elem)
-        lhs = lhs * UniPoly([-x, one_elem], zero_elem)
-        rhs = UniPoly([e], zero_elem) * psi.den
+        factors = _linear_factors(shape, _step_factors(shape, contents, n), n)
         zeros, poles = step_prefactor(shape, (*contents, x), n)
-        ok = ok and lhs * _root_poly(zeros[1:]) == rhs * _root_poly(poles)
+        roots = [root for root, _, _ in factors]
+        degree = len(roots) + len(poles)
+        folded, k = _fold_about_zero(e, factors)
+        folded += [zero_elem] * (degree + 1 - len(folded))
+        with_x = [(folded[j - 1] if j else zero_elem) - folded[j] * x for j in range(degree + 1)]
+        lhs = _times(with_x, _taylor(zeros[1:], ZERO, degree))
+        e = e.scale(k.inverse())
+        ok = ok and lhs == [e.scale(p) for p in _taylor(roots + poles, ZERO, degree)]
         checked += 1
     return {"pass": ok, "instances": checked}
 

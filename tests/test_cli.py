@@ -47,6 +47,10 @@ def test_tableaux_count_is_the_number_of_paths(capsys, n):
         ["tableaux", "5", "5"],
         ["bratteli", "11", "10"],
         ["jm", "13", "12", "1"],
+        ["verify", "12", "12", "--suite", "exponents"],
+        ["verify", "12", "12", "--suite", "lemmas"],
+        ["verify", "4", "4", "--suite", "yang-baxter"],
+        ["idempotent", "5", "4", "--tableau", "L+1,1"],
     ],
 )
 def test_oversized_request_is_a_usage_error(capsys, argv):
@@ -169,6 +173,17 @@ def test_usage_error_exit_code(capsys):
         pytest.param(
             ["idempotent", "1", "1", "--tableau", "L+1,1;L-1," + LONG], None, {},
             id="idempotent-long-move",
+        ),
+        pytest.param(
+            ["mul", "-"], json.dumps([{"r": 1.7, "s": True, "terms": []}, EMPTY_11]), {},
+            id="mul-float-and-bool-shape",
+        ),
+        pytest.param(
+            ["mul"],
+            json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [2, True], "coeff": "1"}]},
+                        EMPTY_11]),
+            {},
+            id="mul-bool-in-diagram",
         ),
     ],
 )

@@ -15,11 +15,16 @@ import wba.fusion as fusion
 from wba.algebra import AlgebraElement
 from wba.diagrams import Shape
 from wba.errors import CancellationFailure, NonzeroRemainder
-from wba.fusion import AlgebraRat, baxter_factor
 from wba.scalars import scalar_str
 from wba.tableaux import enumerate_tableaux, exponents
-from wba.upoly import UniPoly, divide_linear_power, root_multiplicity
-from wba.verify import _root_poly
+from wba.upoly import UniPoly
+from symbolic_oracle import (
+    AlgebraRat,
+    _root_poly,
+    baxter_factor,
+    divide_linear_power,
+    root_multiplicity,
+)
 
 
 def oracle_step(e_prev, factors, k, z, c, h=None, multiply_left=False):

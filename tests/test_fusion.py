@@ -9,7 +9,6 @@ from wba.fusion import (
     DEFAULT_H,
     _evaluate_step_info,
     _step_factors,
-    baxter_factor,
     factor_at,
     fusion_idempotent,
     fusion_with_minimal_prefactor,
@@ -19,14 +18,13 @@ from wba.fusion import (
     minimal_prefactor,
     psi_step_numeric,
     second_fusion_idempotent,
-    step_function,
     step_prefactor,
     sym_group_idempotent,
 )
 from wba.scalars import DELTA, ONE, ZERO, affine
 from wba.tableaux import enumerate_tableaux, exponents, parse_tableau
 from wba.upoly import UniPoly
-from wba.verify import _root_poly
+from symbolic_oracle import _root_poly, baxter_factor, step_function
 
 S11 = Shape(1, 1)
 S22 = Shape(2, 2)

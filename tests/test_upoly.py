@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from wba.errors import NonzeroRemainder
 from wba.scalars import DELTA, ONE, ZERO, DeltaScalar, affine
-from wba.upoly import UniPoly, divide_linear_power, root_multiplicity
+from wba.upoly import UniPoly
+from symbolic_oracle import divide_linear_power, root_multiplicity
 
 
 def spoly(*coeffs):

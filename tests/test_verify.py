@@ -1,5 +1,6 @@
 import pytest
 
+import wba.verify as verify
 from wba.algebra import AlgebraElement, embed
 from wba.diagrams import Shape, d_gen
 from wba.fusion import fuse_contents, fusion_idempotent
@@ -99,7 +100,32 @@ def test_wall_crossing_lemma(r):
 
 @pytest.mark.parametrize("shape", [S11, Shape(2, 1), Shape(1, 2), S22])
 def test_jm_resolvent_lemma(shape):
-    assert check_jm_resolvent(shape)["pass"]
+    result = check_jm_resolvent(shape)
+    assert result["pass"]
+    assert result["instances"] == {(1, 1): 1, (2, 1): 2, (1, 2): 2, (2, 2): 4}[shape.r, shape.s]
+
+
+MUTATIONS = {
+    "shifted_content": lambda a, b: (a + 1, b),
+    "flipped_slope": lambda a, b: (a, -b),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("shape", [S11, Shape(2, 1), Shape(1, 2), S22, Shape(3, 1)])
+def test_lemmas_fail_on_a_mutated_factor(monkeypatch, shape, mutation):
+    # the lemmas see the first factor of every spec with its content
+    # shifted or its slope flipped; the idempotents they start from do not
+    linear_factors = verify._linear_factors
+
+    def mutated(shape, factors, k, h=None):
+        kind, i, a, b = factors[0]
+        changed = (kind, i, *MUTATIONS[mutation](a, b))
+        return linear_factors(shape, [changed, *factors[1:]], k, h)
+
+    monkeypatch.setattr(verify, "_linear_factors", mutated)
+    assert not check_wall_crossing(Shape(shape.r, 1))["pass"]
+    assert not check_jm_resolvent(shape)["pass"]
 
 
 @pytest.mark.parametrize("shape", [S11, Shape(1, 2), S22])
