@@ -56,10 +56,11 @@ def _error_json(exc: Exception) -> dict:
 
 
 def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational number: {text!r}") from exc
+    """A rational number, written as an integer or a fraction such as -3/2."""
+    value = parse_scalar(text)
+    if len(value.num) > 1 or len(value.den) > 1:
+        raise ParseError(f"not a rational number: {text!r}")
+    return Fraction(value.num[0] if value.num else 0, value.den[0])
 
 
 def _seed(args) -> int:
@@ -86,6 +87,8 @@ def _load_json(fh, name: str):
         return json.load(fh)
     except ValueError as exc:
         raise ParseError(f"{name} does not hold JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{name} nests its JSON too deeply") from exc
 
 
 def cmd_tableaux(args) -> int:

@@ -23,6 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, product
+from operator import mul
 
 from .algebra import AlgebraElement
 from .diagrams import Shape, d_pair, epsilon, s_pair
@@ -214,10 +217,7 @@ def _evaluate_step_info(e_prev, factors, k: int, z, c, h=None, multiply_left=Fal
     coeffs = _times(series, _taylor([a for a in zeros if a != c], c, depth))
     if any(coeffs[:depth]):
         raise CancellationFailure(f"pole of order {m} at u = {scalar_str(c)} does not cancel")
-    lead = ONE
-    for b in poles:
-        if b != c:
-            lead = lead * (c - b)
+    lead = _taylor([b for b in poles if b != c], c, 0)[0]
     return coeffs[depth].scale(lead.inverse()), m
 
 
@@ -289,14 +289,9 @@ def leftover_prefactor_value(shape: Shape, contents, p) -> DeltaScalar:
             raise CancellationFailure(
                 f"prefactor leftover has a pole of order {md - mn} at step {k}"
             )
-        num_value = ONE if mn == md else ZERO  # mn > md: the leftover vanishes at c
-        den_value = ONE
-        for a in num:
-            if a != c:
-                num_value = num_value * (c - a)
-        for b in den:
-            if b != c:
-                den_value = den_value * (c - b)
+        # where mn > md the leftover vanishes at c
+        num_value = _taylor([a for a in num if a != c], c, 0)[0] if mn == md else ZERO
+        den_value = _taylor([b for b in den if b != c], c, 0)[0]
         total = total * num_value * den_value.inverse()
     return total
 
@@ -401,12 +396,13 @@ def psi_full_numeric(shape: Shape, us, m=None) -> AlgebraElement:
     the first m sites (all by default)."""
     r = shape.r
     m = shape.n if m is None else m
+    left = min(r, m)
     acc = AlgebraElement.one(shape)
     for i in range(1, r + 1):
         for j in range(r + 1, m + 1):
             acc = acc * factor_at(shape, "d", i, j, us[i - 1] + us[j - 1])
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
+    for i in range(1, left + 1):
+        for j in range(i + 1, left + 1):
             acc = acc * factor_at(shape, "s", i, j, us[i - 1] - us[j - 1])
     for i in range(r + 1, m + 1):
         for j in range(i + 1, m + 1):
@@ -445,170 +441,80 @@ def second_product_numeric(shape: Shape, t: WalledTableau, h, us, mirror=False) 
 
 # Spectral identity battery.
 
-def _nonzero_fraction(rng: random.Random) -> Fraction:
-    while True:
-        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        if q:
-            return q
+def _distinct_points(rng: random.Random, count: int) -> list:
+    """Rationals that avoid every pole of the numeric products: nonzero,
+    non-integer, with pairwise nonzero sums and differences."""
+    out: list = []
+    while len(out) < count:
+        q = Fraction(rng.randint(-40, 40), rng.choice([3, 5, 7, 11]))
+        if q.denominator == 1 or not q:
+            continue
+        if any(not (q - p) or not (q + p) for p in out):
+            continue
+        out.append(q)
+    return [DeltaScalar.from_fraction(q) for q in out]
 
 
-def _draw_pair(rng) -> tuple:
-    """Two rationals with u, v, u+v, u-v all nonzero."""
-    while True:
-        u, v = _nonzero_fraction(rng), _nonzero_fraction(rng)
-        if u + v and u - v:
-            return DeltaScalar.from_fraction(u), DeltaScalar.from_fraction(v)
-
-
-def _same_side_triples(shape: Shape):
+def _battery(shape: Shape) -> list:
+    """The spectral identities as rows (name, sites, word).  For each site
+    tuple, word(*sites, u, v) gives (factors, rhs): the product of the factors
+    equals rhs times 1 or, where rhs is None, the product of the same factors
+    in reverse order."""
     r, n = shape.r, shape.n
-    for lo, hi in ((1, r), (r + 1, n)):
-        for i in range(lo, hi + 1):
-            for j in range(i + 1, hi + 1):
-                for k in range(j + 1, hi + 1):
-                    yield i, j, k
+    sides = (range(1, r + 1), range(r + 1, n + 1))
+    pairs = [p for side in sides for p in combinations(side, 2)]
+    cross = list(product(*sides))
+    # (i, j, k) with i < j on one side of the wall and k on the other
+    mixed = [(*p, k) for a, b in (sides, sides[::-1]) for p, k in product(combinations(a, 2), b)]
+    factor_sites = [("s", *p) for p in pairs] + [("d", *p) for p in cross]
+    disjoint = [(f, g) for f, g in combinations(factor_sites, 2) if not set(f[1:]) & set(g[1:])]
 
+    def s(i, j, u):
+        return factor_at(shape, "s", i, j, u)
 
-def _mixed_triples(shape: Shape):
-    """(i, j, k) with i, j on one side and k on the other."""
-    r, n = shape.r, shape.n
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            for k in range(r + 1, n + 1):
-                yield i, j, k
-    for i in range(r + 1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, r + 1):
-                yield i, j, k
+    def d(i, j, u):
+        return factor_at(shape, "d", i, j, u)
+
+    def w(i, j, u):
+        return wtilde_factor(shape, i, j, u)
+
+    return [
+        ("yang_baxter_crossings", [t for side in sides for t in combinations(side, 3)],
+         lambda i, j, k, u, v: ([s(i, j, u), s(i, k, u + v), s(j, k, v)], None)),
+        # two contractions against a crossing
+        ("yang_baxter_contractions", mixed,
+         lambda j, k, i, u, v: ([d(j, i, u), d(k, i, u - v), s(j, k, v)], None)),
+        # contraction, crossing, contraction with the reflected argument
+        ("yang_baxter_mixed", mixed,
+         lambda i, k, j, u, v: ([d(i, j, u), s(i, k, DELTA - u - v), d(k, j, v)], None)),
+        ("crossing_unitarity", pairs,
+         lambda i, j, u, v: ([s(i, j, u), s(i, j, -u)], (u * u - 1) / (u * u))),
+        ("contraction_unitarity", cross,
+         lambda i, j, u, v: ([d(i, j, u), d(i, j, DELTA - u)], ONE)),
+        # factors on four distinct sites commute
+        ("distinct_sites_commute", disjoint,
+         lambda a, b, u, v: ([factor_at(shape, *a, u), factor_at(shape, *b, v)], None)),
+        # the uniform Yang-Baxter form across the wall
+        ("uniform_yang_baxter", list(combinations(range(1, n + 1), 3)),
+         lambda i, j, k, u, v: ([w(i, j, u), w(i, k, u + v), w(j, k, v)], None)),
+    ]
 
 
 def identity_checks(shape: Shape, seed: int = 0, points: int = 20) -> dict:
-    """Exact spot checks of the spectral identities at random rational points."""
+    """Exact spot checks of the spectral identities of _battery, each at
+    `points` random rational pairs (u, v)."""
     rng = random.Random(seed)
+    one = AlgebraElement.one(shape)
     results: dict = {}
-
-    def record(name, ok, instances):
-        results[name] = {"instances": instances, "pass": ok}
-
-    def s_fac(i, j, u):
-        return factor_at(shape, "s", i, j, u)
-
-    def d_fac(i, j, u):
-        return factor_at(shape, "d", i, j, u)
-
-    # Yang-Baxter for crossings on one side of the wall
-    ok, count = True, 0
-    for _ in range(points):
-        u, v = _draw_pair(rng)
-        for i, j, k in _same_side_triples(shape):
-            count += 1
-            lhs = s_fac(i, j, u) * s_fac(i, k, u + v) * s_fac(j, k, v)
-            rhs = s_fac(j, k, v) * s_fac(i, k, u + v) * s_fac(i, j, u)
-            ok = ok and lhs == rhs
-    record("yang_baxter_crossings", ok, count)
-
-    # two contractions against a crossing
-    ok, count = True, 0
-    for _ in range(points):
-        u, v = _draw_pair(rng)
-        for j, k, i in _mixed_triples(shape):
-            count += 1
-            lhs = d_fac(j, i, u) * d_fac(k, i, u - v) * s_fac(j, k, v)
-            rhs = s_fac(j, k, v) * d_fac(k, i, u - v) * d_fac(j, i, u)
-            ok = ok and lhs == rhs
-    record("yang_baxter_contractions", ok, count)
-
-    # contraction, crossing, contraction with the reflected argument
-    ok, count = True, 0
-    for _ in range(points):
-        u, v = _draw_pair(rng)
-        for i, k, j in _mixed_triples(shape):
-            count += 1
-            mid = s_fac(i, k, DELTA - u - v)
-            lhs = d_fac(i, j, u) * mid * d_fac(k, j, v)
-            rhs = d_fac(k, j, v) * mid * d_fac(i, j, u)
-            ok = ok and lhs == rhs
-    record("yang_baxter_mixed", ok, count)
-
-    # crossing unitarity: s(u) s(-u) = (u^2 - 1)/u^2
-    ok, count = True, 0
-    for _ in range(points):
-        u, _ = _draw_pair(rng)
-        for i, j in _same_side_pairs(shape):
-            count += 1
-            expected = AlgebraElement.one(shape).scale((u * u - 1) / (u * u))
-            ok = ok and s_fac(i, j, u) * s_fac(i, j, -u) == expected
-    record("crossing_unitarity", ok, count)
-
-    # contraction unitarity: d(u) d(d - u) = 1
-    ok, count = True, 0
-    for _ in range(points):
-        u, _ = _draw_pair(rng)
-        for i, j in _cross_pairs(shape):
-            count += 1
-            ok = ok and d_fac(i, j, u) * d_fac(i, j, DELTA - u) == AlgebraElement.one(shape)
-    record("contraction_unitarity", ok, count)
-
-    # factors on four distinct sites commute
-    ok, count = True, 0
-    for _ in range(points):
-        u, v = _draw_pair(rng)
-        for (p, i, j), (q, k, l) in _disjoint_pair_pairs(shape):
-            count += 1
-            lhs = factor_at(shape, p, i, j, u) * factor_at(shape, q, k, l, v)
-            rhs = factor_at(shape, q, k, l, v) * factor_at(shape, p, i, j, u)
-            ok = ok and lhs == rhs
-    record("distinct_sites_commute", ok, count)
-
-    # the uniform Yang-Baxter form across the wall
-    ok, count = True, 0
-    for _ in range(points):
-        u, v = _draw_pair(rng)
-        for i, j, k in _all_triples(shape):
-            count += 1
-            lhs = (
-                wtilde_factor(shape, i, j, u)
-                * wtilde_factor(shape, i, k, u + v)
-                * wtilde_factor(shape, j, k, v)
-            )
-            rhs = (
-                wtilde_factor(shape, j, k, v)
-                * wtilde_factor(shape, i, k, u + v)
-                * wtilde_factor(shape, i, j, u)
-            )
-            ok = ok and lhs == rhs
-    record("uniform_yang_baxter", ok, count)
-
-    results["all_pass"] = all(v["pass"] for k, v in results.items() if k != "all_pass")
+    for name, sites, word in _battery(shape):
+        ok = True
+        for _ in range(points):
+            u, v = _distinct_points(rng, 2)
+            for site in sites:
+                factors, rhs = word(*site, u, v)
+                lhs = reduce(mul, factors)
+                want = reduce(mul, reversed(factors)) if rhs is None else one.scale(rhs)
+                ok = ok and lhs == want
+        results[name] = {"instances": points * len(sites), "pass": ok}
+    results["all_pass"] = all(v["pass"] for v in results.values())
     return results
-
-
-def _same_side_pairs(shape: Shape):
-    r, n = shape.r, shape.n
-    for lo, hi in ((1, r), (r + 1, n)):
-        for i in range(lo, hi + 1):
-            for j in range(i + 1, hi + 1):
-                yield i, j
-
-
-def _cross_pairs(shape: Shape):
-    for i in range(1, shape.r + 1):
-        for j in range(shape.r + 1, shape.n + 1):
-            yield i, j
-
-
-def _disjoint_pair_pairs(shape: Shape):
-    """Two (kind, i, j) factor sites with no site in common."""
-    pairs = [("s", i, j) for i, j in _same_side_pairs(shape)]
-    pairs += [("d", i, j) for i, j in _cross_pairs(shape)]
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            if not set(pairs[a][1:]) & set(pairs[b][1:]):
-                yield pairs[a], pairs[b]
-
-
-def _all_triples(shape: Shape):
-    for i in range(1, shape.n + 1):
-        for j in range(i + 1, shape.n + 1):
-            for k in range(j + 1, shape.n + 1):
-                yield i, j, k

@@ -447,6 +447,7 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -462,12 +463,17 @@ class _Tokens:
         return ch
 
 
-# a parsed power may reach at most this degree in d, so that nested powers
-# such as (d^100)^100 stay bounded too
+# a parsed power may reach at most this degree in d and coefficients of at
+# most this many bits, so that nested powers such as (d^100)^100 or
+# (9^100)^100 stay bounded too
 _MAX_POWER_DEGREE = 256
+_MAX_POWER_BITS = 1 << 16
 # an integer literal has at most this many digits, well below the limit of
 # Python's int() on decimal strings
 _MAX_INT_DIGITS = 1000
+# parentheses nest at most this deep, well below the depth at which the
+# recursive descent reaches Python's recursion limit
+_MAX_NESTING = 100
 
 
 def parse_scalar(text: str) -> DeltaScalar:
@@ -525,6 +531,11 @@ def _parse_factor(toks):
             raise ParseError(
                 f"power too large: exponent times degree over {_MAX_POWER_DEGREE}", pos
             )
+        bits = max(abs(c).bit_length() for c in value.num + value.den)
+        if exp * bits > _MAX_POWER_BITS:
+            raise ParseError(
+                f"power too large: exponent times coefficient bits over {_MAX_POWER_BITS}", pos
+            )
         value = value**exp
     return value if sign > 0 else -value
 
@@ -535,10 +546,14 @@ def _parse_atom(toks):
         raise ParseError("unexpected end of input", toks.pos)
     if ch == "(":
         toks.take()
+        toks.depth += 1
+        if toks.depth > _MAX_NESTING:
+            raise ParseError(f"parentheses nested more than {_MAX_NESTING} deep", toks.pos)
         value = _parse_sum(toks)
         if toks.peek() != ")":
             raise ParseError("expected ')'", toks.pos)
         toks.take()
+        toks.depth -= 1
         return value
     if ch == "d":
         toks.take()

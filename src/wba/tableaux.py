@@ -339,33 +339,13 @@ def diag_len(x, k: int) -> int:
     return sum(1 for i, j in _cellset(x) if i - j == k)
 
 
-def _is_young(cells: frozenset) -> bool:
-    for i, j in cells:
-        if i > 1 and (i - 1, j) not in cells:
-            return False
-        if j > 1 and (i, j - 1) not in cells:
-            return False
-    return True
-
-
-def _diag_cell(k: int, m: int) -> tuple:
-    """The m-th cell on diagonal i - j = k, counting outward from the corner."""
-    if k >= 0:
-        return (k + m, m)
-    return (m, m - k)
-
-
 def theta(gamma: Partition, k: int) -> int:
-    """-1 if diagonal k of gamma is extendable, +1 if retractable, else 0."""
-    cells = _cellset(gamma)
-    g = diag_len(cells, k)
-    can_add = _is_young(cells | {_diag_cell(k, g + 1)})
-    can_remove = g >= 1 and _is_young(cells - {_diag_cell(k, g)})
-    if can_add and can_remove:
-        raise AssertionError(f"theta cases overlap for {gamma} at diagonal {k}")
-    if can_add:
+    """-1 if diagonal k of gamma has an addable cell, +1 if it has a
+    removable one, else 0.  Never both: an addable (a + 1, b + 1) needs
+    (a, b + 1) in gamma, which a removable (a, b) rules out."""
+    if any(i - j == k for i, j in gamma.addable_cells()):
         return -1
-    if can_remove:
+    if any(i - j == k for i, j in gamma.removable_cells()):
         return 1
     return 0
 

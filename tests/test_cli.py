@@ -18,6 +18,7 @@ from wba.tableaux import enumerate_tableaux, parse_tableau
 GOLDEN_SPEC = "L+1,1;L+2,1;L-2,1;L-1,1"
 EMPTY_11 = {"r": 1, "s": 1, "terms": []}
 LONG = "9" * 5000  # more digits than Python's int() converts from a string
+NESTED = "(" * 2000 + "d" + ")" * 2000  # deeper than the recursion limit allows
 
 
 def run(capsys, *argv):
@@ -185,6 +186,23 @@ def test_usage_error_exit_code(capsys):
             {},
             id="mul-bool-in-diagram",
         ),
+        pytest.param(
+            ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
+             "--h", NESTED], None, {},
+            id="idempotent-nested-h",
+        ),
+        pytest.param(
+            ["mul"],
+            json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [1, 2], "coeff": NESTED}]},
+                        EMPTY_11]),
+            {},
+            id="mul-nested-coeff",
+        ),
+        pytest.param(["mul"], "[" * 100_000 + "]" * 100_000, {}, id="mul-nested-json"),
+        pytest.param(
+            ["verify", "1", "1", "--suite", "system", "--delta-rational", "d"], None, {},
+            id="verify-delta-not-constant",
+        ),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, stdin, env):
@@ -197,16 +215,39 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, stdin, 
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
-def test_huge_power_in_h_is_refused_promptly():
+def run_process(*argv):
+    """Run wba in a fresh interpreter, killed after 30 s."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "wba.cli", "idempotent", "1", "1", "--tableau",
-         "L+1,1;L-1,1", "--method", "second", "--h", "d^99999999"],
+    return subprocess.run(
+        [sys.executable, "-m", "wba.cli", *argv],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
         timeout=30,
     )
+
+
+def test_huge_power_in_h_is_refused_promptly():
+    proc = run_process(
+        "idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
+        "--h", "d^99999999",
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "1", "1", "--suite", "system", "--delta-rational", "1e100000000"],
+        ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--delta-rational", "1e100000000"],
+        ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
+         "--h", "((" + "9" * 1000 + ")^256)^256"],
+    ],
+    ids=["verify-delta-exponent", "idempotent-delta-exponent", "h-power"],
+)
+def test_huge_number_is_refused_promptly(argv):
+    proc = run_process(*argv)
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
 
@@ -286,6 +327,13 @@ def test_verify_small_shape(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["ok"] and len(obj["tableaux"]) == 2
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_verify_shape_without_right_sites(capsys, r):
+    code, out = run(capsys, "verify", str(r), "0")
+    assert code == 0
+    assert json.loads(out)["ok"]
 
 
 def test_verify_reports_semisimplicity(capsys):

@@ -361,6 +361,52 @@ def test_identity_battery_23_has_crossing_triples():
     assert report["yang_baxter_crossings"]["instances"] > 0
 
 
+# site tuples per identity: same-side triples, mixed triples (twice),
+# same-side pairs, cross pairs, disjoint factor pairs, all triples
+BATTERY_SITES = {
+    Shape(2, 3): (1, 9, 9, 4, 6, 15, 10),
+    Shape(4, 1): (4, 6, 6, 6, 4, 15, 10),
+}
+
+
+@pytest.mark.parametrize("shape", list(BATTERY_SITES))
+def test_identity_battery_instances(shape):
+    report = identity_checks(shape, seed=3, points=2)
+    assert list(report) == [
+        "yang_baxter_crossings",
+        "yang_baxter_contractions",
+        "yang_baxter_mixed",
+        "crossing_unitarity",
+        "contraction_unitarity",
+        "distinct_sites_commute",
+        "uniform_yang_baxter",
+        "all_pass",
+    ]
+    assert report["all_pass"]
+    assert tuple(v["instances"] for v in list(report.values())[:-1]) == tuple(
+        2 * count for count in BATTERY_SITES[shape]
+    )
+
+
+@pytest.mark.parametrize("shape", list(BATTERY_SITES))
+def test_identity_battery_fails_on_a_flipped_contraction(monkeypatch, shape):
+    # d-factors become 1 + g/arg: every identity with a contraction in it
+    # fails, except the commutation of factors on disjoint sites
+    import wba.fusion as fusion
+
+    factor_kind = fusion._factor_kind
+
+    def flipped(shape, kind, i, j, h):
+        gen, shift, sign = factor_kind(shape, kind, i, j, h)
+        return gen, shift, -sign if kind == "d" else sign
+
+    monkeypatch.setattr(fusion, "_factor_kind", flipped)
+    report = identity_checks(shape, seed=3, points=2)
+    passed = {name for name, v in report.items() if name != "all_pass" and v["pass"]}
+    assert passed == {"yang_baxter_crossings", "crossing_unitarity", "distinct_sites_commute"}
+    assert not report["all_pass"]
+
+
 def test_fusion_steps_stay_sparse(monkeypatch):
     # each fold step multiplies by one diagram at a time; the vectorized
     # path for large products must never run while fusing a 5-site path

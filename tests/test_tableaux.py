@@ -174,8 +174,15 @@ def test_theta_examples():
     assert theta(P(1, 1), 0) == 0
 
 
+def _is_young(cells) -> bool:
+    return all((i == 1 or (i - 1, j) in cells) and (j == 1 or (i, j - 1) in cells)
+               for i, j in cells)
+
+
 def test_theta_cases_exclusive_up_to_size_8():
-    # exclusivity is asserted inside theta; sweep all partitions of size <= 8
+    # theta against the cells of diagonal k: the next cell outward can be
+    # added, or the outermost one removed, never both; all partitions of
+    # size <= 8
     def parts(n, maxp=None):
         if n == 0:
             yield ()
@@ -188,8 +195,15 @@ def test_theta_cases_exclusive_up_to_size_8():
     for n in range(9):
         for ps in parts(n):
             gamma = Partition(ps)
+            cells = set(gamma.cells())
             for k in range(-n - 1, n + 2):
-                assert theta(gamma, k) in (-1, 0, 1)
+                diagonal = sorted(c for c in cells if c[0] - c[1] == k)
+                m = len(diagonal) + 1
+                outward = (k + m, m) if k >= 0 else (m, m - k)
+                can_add = _is_young(cells | {outward})
+                can_remove = bool(diagonal) and _is_young(cells - {diagonal[-1]})
+                assert not (can_add and can_remove)
+                assert theta(gamma, k) == (-1 if can_add else 1 if can_remove else 0)
 
 
 def test_laplacian_values():

@@ -105,6 +105,17 @@ def test_jm_resolvent_lemma(shape):
     assert result["instances"] == {(1, 1): 1, (2, 1): 2, (1, 2): 2, (2, 2): 4}[shape.r, shape.s]
 
 
+@pytest.mark.parametrize("r", range(6))
+def test_lemmas_without_right_sites(r):
+    # the last step of (r, 0) is a before-wall step, on the paths of (r - 1, 0)
+    shape = Shape(r, 0)
+    resolvent = check_jm_resolvent(shape)
+    factorization = check_factorization_identity(shape, seed=1)
+    assert resolvent["pass"] and factorization["pass"]
+    assert resolvent["instances"] == [0, 1, 1, 2, 4, 10][r]
+    assert factorization["instances"] == (3 if r else 0)
+
+
 MUTATIONS = {
     "shifted_content": lambda a, b: (a + 1, b),
     "flipped_slope": lambda a, b: (a, -b),
