@@ -130,7 +130,7 @@ def cmd_idempotent(args) -> int:
                 f"refusing fusion: the algebra is not semisimple at d = {value}"
             )
     t = parse_tableau(args.tableau, shape)
-    h = parse_scalar(args.h) if args.h else DEFAULT_H
+    h = DEFAULT_H if args.h is None else parse_scalar(args.h)
     element = idempotent_by(t, args.method, args.variant, h)
     if args.pretty:
         print(element_to_text(element))
@@ -200,8 +200,16 @@ def cmd_mul(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParseError; its
+    subparsers share the class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wba",
         description="Exact idempotent systems for the walled Brauer algebra.",
     )
@@ -255,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
+def _run(argv) -> int:
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _USAGE_ERRORS as exc:
         _emit(_error_json(exc))
@@ -267,10 +276,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = _run(args)
+        code = _run(argv)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early: send what is still buffered to

@@ -23,14 +23,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, product
-from operator import mul
 
 from .algebra import AlgebraElement
 from .diagrams import Shape, d_pair, epsilon, s_pair
 from .errors import (
     CancellationFailure,
+    DivisionByZero,
     IndexOutOfRange,
     NonGenericH,
     ParityViolation,
@@ -66,13 +65,6 @@ def _factor_kind(shape: Shape, kind: str, i: int, j: int, h):
     return _pair_generator(shape, kind, i, j), shift, sign
 
 
-def factor_at(shape: Shape, kind: str, i: int, j: int, arg: DeltaScalar, h=None) -> AlgebraElement:
-    """The factor of the given kind at a numeric argument; see _factor_kind."""
-    gen, shift, sign = _factor_kind(shape, kind, i, j, h)
-    g = AlgebraElement.from_diagram(gen, sign * (arg + shift).inverse())
-    return AlgebraElement.one(shape) + g
-
-
 # Factor orderings.  A spec is a list of (kind, i, a_i, b) tuples; the factor
 # on the sites (i, k) sits at argument a_i + b*u, with u the variable of step k.
 
@@ -97,14 +89,6 @@ def _step_factors(shape: Shape, a, k: int) -> list:
     if k <= r:
         return [("s", i, a[i - 1], -1) for i in range(1, k)]
     return _d_block(shape, a) + [("s", i, a[i - 1], -1) for i in range(r + 1, k)]
-
-
-def _numeric_product(shape: Shape, factors, k: int, u, h=None, acc=None) -> AlgebraElement:
-    """acc (1 by default) times the factors of the spec at the point u."""
-    acc = AlgebraElement.one(shape) if acc is None else acc
-    for kind, i, a, b in factors:
-        acc = acc * factor_at(shape, kind, i, k, a + u if b == 1 else a - u, h)
-    return acc
 
 
 def step_prefactor(shape: Shape, contents, k: int, h=None) -> tuple:
@@ -384,11 +368,17 @@ def idempotent_by(t: WalledTableau, method="first", variant="fwd", h=DEFAULT_H) 
 
 # Numeric products for the identity battery and the proof-level checks.
 
-def wtilde_factor(shape: Shape, i: int, j: int, u: DeltaScalar) -> AlgebraElement:
-    """The uniform factor: the crossing kind at u, the contraction kind at d/2 - u."""
-    if (epsilon(shape, i) + epsilon(shape, j)) % 2 == 0:
-        return factor_at(shape, "s", i, j, u)
-    return factor_at(shape, "d", i, j, affine(0, Fraction(1, 2)) - u)
+def _at(shape: Shape, kind: str, i: int, j: int, arg: DeltaScalar, h=None) -> tuple:
+    """The factor of the given kind at a numeric argument, as the linear
+    factor (root, gen, coeff) of _linear_factors to evaluate at u = 0."""
+    return _linear_factors(shape, [(kind, i, arg, 1)], j, h)[0]
+
+
+def _evaluate(e, factors, u=ZERO) -> AlgebraElement:
+    """e times the linear factors (root, gen, coeff) at the point u."""
+    if any(root == u for root, _, _ in factors):
+        raise DivisionByZero(f"a factor has a pole at u = {scalar_str(u)}")
+    return _fold(e, factors, u, 0)[0]
 
 
 def psi_full_numeric(shape: Shape, us, m=None) -> AlgebraElement:
@@ -396,23 +386,20 @@ def psi_full_numeric(shape: Shape, us, m=None) -> AlgebraElement:
     the first m sites (all by default)."""
     r = shape.r
     m = shape.n if m is None else m
-    left = min(r, m)
-    acc = AlgebraElement.one(shape)
-    for i in range(1, r + 1):
-        for j in range(r + 1, m + 1):
-            acc = acc * factor_at(shape, "d", i, j, us[i - 1] + us[j - 1])
-    for i in range(1, left + 1):
-        for j in range(i + 1, left + 1):
-            acc = acc * factor_at(shape, "s", i, j, us[i - 1] - us[j - 1])
-    for i in range(r + 1, m + 1):
-        for j in range(i + 1, m + 1):
-            acc = acc * factor_at(shape, "s", i, j, us[i - 1] - us[j - 1])
-    return acc
+    factors = [
+        _at(shape, "d", i, j, us[i - 1] + us[j - 1])
+        for i in range(1, r + 1)
+        for j in range(r + 1, m + 1)
+    ]
+    for side in (range(1, min(r, m) + 1), range(r + 1, m + 1)):
+        factors += [_at(shape, "s", i, j, us[i - 1] - us[j - 1]) for i, j in combinations(side, 2)]
+    return _evaluate(AlgebraElement.one(shape), factors)
 
 
 def psi_step_numeric(shape: Shape, us, k: int) -> AlgebraElement:
     """The step-k product of _step_factors at fully numeric points."""
-    return _numeric_product(shape, _step_factors(shape, us, k), k, us[k - 1])
+    factors = _linear_factors(shape, _step_factors(shape, us, k), k)
+    return _evaluate(AlgebraElement.one(shape), factors, us[k - 1])
 
 
 def second_product_numeric(shape: Shape, t: WalledTableau, h, us, mirror=False) -> AlgebraElement:
@@ -435,7 +422,7 @@ def second_product_numeric(shape: Shape, t: WalledTableau, h, us, mirror=False) 
     order = a_block + s_prime + a_prime if mirror else a_prime + s_prime + a_block
     e = fuse_contents(shape, contents, r)
     for k, factors in order + s_block:
-        e = _numeric_product(shape, factors, k, us[k], h, e)
+        e = _evaluate(e, _linear_factors(shape, factors, k, h), us[k])
     return e
 
 
@@ -470,13 +457,16 @@ def _battery(shape: Shape) -> list:
     disjoint = [(f, g) for f, g in combinations(factor_sites, 2) if not set(f[1:]) & set(g[1:])]
 
     def s(i, j, u):
-        return factor_at(shape, "s", i, j, u)
+        return _at(shape, "s", i, j, u)
 
     def d(i, j, u):
-        return factor_at(shape, "d", i, j, u)
+        return _at(shape, "d", i, j, u)
 
     def w(i, j, u):
-        return wtilde_factor(shape, i, j, u)
+        """The uniform factor: the crossing kind at u, the contraction kind at d/2 - u."""
+        if (epsilon(shape, i) + epsilon(shape, j)) % 2 == 0:
+            return s(i, j, u)
+        return d(i, j, affine(0, Fraction(1, 2)) - u)
 
     return [
         ("yang_baxter_crossings", [t for side in sides for t in combinations(side, 3)],
@@ -493,7 +483,7 @@ def _battery(shape: Shape) -> list:
          lambda i, j, u, v: ([d(i, j, u), d(i, j, DELTA - u)], ONE)),
         # factors on four distinct sites commute
         ("distinct_sites_commute", disjoint,
-         lambda a, b, u, v: ([factor_at(shape, *a, u), factor_at(shape, *b, v)], None)),
+         lambda a, b, u, v: ([_at(shape, *a, u), _at(shape, *b, v)], None)),
         # the uniform Yang-Baxter form across the wall
         ("uniform_yang_baxter", list(combinations(range(1, n + 1), 3)),
          lambda i, j, k, u, v: ([w(i, j, u), w(i, k, u + v), w(j, k, v)], None)),
@@ -512,8 +502,8 @@ def identity_checks(shape: Shape, seed: int = 0, points: int = 20) -> dict:
             u, v = _distinct_points(rng, 2)
             for site in sites:
                 factors, rhs = word(*site, u, v)
-                lhs = reduce(mul, factors)
-                want = reduce(mul, reversed(factors)) if rhs is None else one.scale(rhs)
+                lhs = _evaluate(one, factors)
+                want = _evaluate(one, factors[::-1]) if rhs is None else one.scale(rhs)
                 ok = ok and lhs == want
         results[name] = {"instances": points * len(sites), "pass": ok}
     results["all_pass"] = all(v["pass"] for v in results.values())

@@ -47,10 +47,6 @@ class Partition:
             (i, j) for i, row in enumerate(self.parts, 1) for j in range(1, row + 1)
         )
 
-    def __contains__(self, cell) -> bool:
-        i, j = cell
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
-
     def addable_cells(self) -> tuple:
         out = []
         for i in range(1, len(self.parts) + 2):
@@ -158,22 +154,10 @@ class WalledTableau:
         state = Bipartition()
         steps = [state]
         for t, move in enumerate(self.moves, 1):
-            cell = (move.row, move.col)
-            if t <= r:
-                if move.kind != "L+":
-                    raise IllegalMove(t, f"step {t} <= r must add to the left diagram")
-                if cell not in state.left.addable_cells():
-                    raise IllegalMove(t, f"cell {cell} not addable to {state.left.parts}")
-            elif move.kind == "R+":
-                if cell not in state.right.addable_cells():
-                    raise IllegalMove(t, f"cell {cell} not addable to {state.right.parts}")
-            elif move.kind == "L-":
-                if cell not in state.left.removable_cells():
-                    raise IllegalMove(
-                        t, f"cell {cell} not removable from {state.left.parts}"
-                    )
-            else:
-                raise IllegalMove(t, f"unknown move kind {move.kind!r}")
+            legal = _legal_moves(state, t, r)
+            if move not in legal:
+                allowed = ", ".join(str(m) for m in legal)
+                raise IllegalMove(t, f"{move} is not a legal move here (legal: {allowed})")
             state = _advance(state, move)
             steps.append(state)
         if len(self.moves) != n:
@@ -230,6 +214,7 @@ def enumerate_bipartitions(shape: Shape) -> list:
 
 
 def _legal_moves(state: Bipartition, t: int, r: int) -> list:
+    """The moves a path may take at step t from state: the branching rule."""
     if t <= r:
         return [Move("L+", i, j) for (i, j) in state.left.addable_cells()]
     moves = [Move("R+", i, j) for (i, j) in state.right.addable_cells()]

@@ -40,28 +40,21 @@ from .fusion import (
     second_product_numeric,
     step_prefactor,
 )
-from .scalars import DELTA, ZERO, DeltaScalar, affine
-from .tableaux import WalledTableau, enumerate_tableaux, exponents
+from .scalars import DELTA, ZERO, DeltaScalar
+from .tableaux import WalledTableau, _legal_moves, enumerate_tableaux, exponents
 
 
 def interp_idempotent(t: WalledTableau) -> AlgebraElement:
     """Build the idempotent by Jucys-Murphy interpolation, level by level.
 
-    At each step the factor product runs over the candidate boxes of the
-    current bipartition (addable cells before the wall; removable-left and
-    addable-right cells after it), skipping the box actually used.
+    At each step the factor product runs over the contents of the legal moves
+    from the current bipartition, skipping the move actually taken.
     """
     shape = t.shape
-    r = shape.r
     contents = t.contents()
     e = AlgebraElement.one(shape)
     for k in range(1, shape.n + 1):
-        state = t.steps[k - 1]
-        if k <= r:
-            candidates = [affine(j - i) for (i, j) in state.left.addable_cells()]
-        else:
-            candidates = [affine(i - j) for (i, j) in state.left.removable_cells()]
-            candidates += [affine(j - i, 1) for (i, j) in state.right.addable_cells()]
+        candidates = [m.content() for m in _legal_moves(t.steps[k - 1], k, shape.r)]
         c = contents[k - 1]
         candidates.remove(c)
         if not candidates:
@@ -189,17 +182,12 @@ def certify_tableau(
     return cert
 
 
-def check_system(
-    shape: Shape,
-    include_interp: bool = True,
-    include_second: bool = True,
-    h: DeltaScalar = DEFAULT_H,
-) -> CertReport:
+def check_system(shape: Shape, include_interp: bool = True, include_second: bool = True) -> CertReport:
     """Certify the complete idempotent system of a shape."""
-    return _system_report(shape, include_interp, include_second, h)[0]
+    return _system_report(shape, include_interp, include_second)[0]
 
 
-def _system_report(shape: Shape, include_interp: bool, include_second: bool, h: DeltaScalar):
+def _system_report(shape: Shape, include_interp: bool, include_second: bool):
     """check_system's report and the fused idempotents, in enumeration order."""
     report = CertReport(shape.r, shape.s)
     t0 = time.perf_counter()
@@ -209,7 +197,7 @@ def _system_report(shape: Shape, include_interp: bool, include_second: bool, h: 
 
     t0 = time.perf_counter()
     for t, e in zip(tableaux, elements):
-        report.tableaux.append(certify_tableau(t, e, include_interp, include_second, h))
+        report.tableaux.append(certify_tableau(t, e, include_interp, include_second))
     report.timings["per_tableau"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -344,20 +332,20 @@ def check_jm_resolvent(shape: Shape) -> dict:
     return {"pass": ok, "instances": checked}
 
 
-def check_mirror_products(shape: Shape, seed: int = 0, h: DeltaScalar = DEFAULT_H) -> dict:
+def check_mirror_products(shape: Shape, seed: int = 0) -> dict:
     """flip(forward second-procedure product) equals the mirrored product at
-    random rational points."""
+    random rational points, with h = DEFAULT_H."""
     rng = random.Random(seed)
     r, n = shape.r, shape.n
     checked = 0
     ok = True
     for t in enumerate_tableaux(shape):
-        if not h_is_generic(shape, t.contents(), h):
+        if not h_is_generic(shape, t.contents(), DEFAULT_H):
             continue
         points = _distinct_points(rng, n - r)
         us = {k: points[k - r - 1] for k in range(r + 1, n + 1)}
-        fwd = second_product_numeric(shape, t, h, us, mirror=False)
-        mir = second_product_numeric(shape, t, h, us, mirror=True)
+        fwd = second_product_numeric(shape, t, DEFAULT_H, us, mirror=False)
+        mir = second_product_numeric(shape, t, DEFAULT_H, us, mirror=True)
         ok = ok and iota(fwd) == mir
         checked += 1
     return {"pass": ok, "instances": checked}
@@ -379,9 +367,9 @@ def check_proof_lemmas(shape: Shape, seed: int = 0) -> dict:
     return out
 
 
-def check_exponents(shape: Shape, negative_controls: int = 3, idempotents=None) -> dict:
-    """Minimal-prefactor runs for every tableau of the shape, plus negative
-    controls that withhold one required factor and must fail.
+def check_exponents(shape: Shape, idempotents=None) -> dict:
+    """Minimal-prefactor runs for every tableau of the shape, plus three
+    negative controls that withhold one required factor and must fail.
 
     idempotents, when given, are the fused idempotents of the shape's
     tableaux in enumeration order, which the runs are compared against
@@ -398,7 +386,7 @@ def check_exponents(shape: Shape, negative_controls: int = 3, idempotents=None) 
         runs += 1
         ok = ok and diag.matches_idempotent
         zero_results += diag.result_is_zero
-        if controls < negative_controls:
+        if controls < 3:
             p = exponents(t)
             pos = [k for k, pk in enumerate(p, 1) if pk == 1]
             if pos:
@@ -420,7 +408,7 @@ def full_report(shape: Shape, seed: int = 0, suite: str = "all") -> CertReport:
     """Assemble the report the CLI emits; suite selects which sections run."""
     idempotents = None
     if suite in ("all", "system"):
-        report, idempotents = _system_report(shape, True, True, DEFAULT_H)
+        report, idempotents = _system_report(shape, True, True)
     else:
         report = CertReport(shape.r, shape.s)
     if suite in ("all", "lemmas"):

@@ -203,6 +203,18 @@ def test_usage_error_exit_code(capsys):
             ["verify", "1", "1", "--suite", "system", "--delta-rational", "d"], None, {},
             id="verify-delta-not-constant",
         ),
+        pytest.param(
+            ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
+             "--h", ""], None, {},
+            id="idempotent-empty-h",
+        ),
+        pytest.param(["verify", "1", "1", "--suite", "nope"], None, {}, id="argparse-choice"),
+        # a negative value after a space is read as an option
+        pytest.param(["verify", "1", "1", "--delta-rational", "-3/2"], None, {},
+                     id="argparse-negative-value"),
+        pytest.param(["idempotent", "1", "1"], None, {}, id="argparse-missing-tableau"),
+        pytest.param(["jm", "1", "1", "x"], None, {}, id="argparse-non-integer"),
+        pytest.param([], None, {}, id="argparse-no-subcommand"),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, stdin, env):
@@ -213,6 +225,19 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, stdin, 
     code, out = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+def test_negative_value_after_equals_sign(capsys):
+    code, out = run(capsys, "verify", "1", "1", "--suite", "system", "--delta-rational=-3/2")
+    assert code == 0
+    assert json.loads(out)["semisimple_at_delta"] is True
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: wba verify")
 
 
 def run_process(*argv):

@@ -4,18 +4,26 @@ import pytest
 
 from wba.algebra import AlgebraElement, iota, jm_element
 from wba.diagrams import Shape, d_gen, s_gen
-from wba.errors import CancellationFailure, IndexOutOfRange, NonGenericH, ParityViolation
+from wba.errors import (
+    CancellationFailure,
+    DivisionByZero,
+    IndexOutOfRange,
+    NonGenericH,
+    ParityViolation,
+)
 from wba.fusion import (
     DEFAULT_H,
+    _at,
+    _evaluate,
     _evaluate_step_info,
     _step_factors,
-    factor_at,
     fusion_idempotent,
     fusion_with_minimal_prefactor,
     h_is_generic,
     idempotent_by,
     identity_checks,
     minimal_prefactor,
+    psi_full_numeric,
     psi_step_numeric,
     second_fusion_idempotent,
     step_prefactor,
@@ -122,7 +130,8 @@ def test_numeric_factor_is_symbolic_factor_at_a_point(shape, pairs):
         for k in (kind, kind + "'"):
             for b in (1, -1):
                 symbolic = baxter_factor(shape, k, i, j, a, b, DEFAULT_H)
-                numeric = factor_at(shape, k, i, j, a + u0 if b == 1 else a - u0, DEFAULT_H)
+                arg = a + u0 if b == 1 else a - u0
+                numeric = _evaluate(one(shape), [_at(shape, k, i, j, arg, DEFAULT_H)])
                 assert numeric == _value_at(symbolic, u0), (k, i, j, b)
 
 
@@ -132,6 +141,21 @@ def test_step_function_at_a_point_is_numeric_step(shape):
     for k in range(2, shape.n + 1):
         psi = step_function(shape, us, k)
         assert _value_at(psi, us[k - 1]) == psi_step_numeric(shape, us, k), k
+
+
+@pytest.mark.parametrize(
+    "points,product",
+    [
+        ((2, 2, 7, 11), lambda us: psi_full_numeric(S22, us)),  # s_{1,2}(u_1 - u_2)
+        ((2, 3, -2, 11), lambda us: psi_full_numeric(S22, us)),  # d_{1,3}(u_1 + u_3)
+        ((2, 2, 7, 11), lambda us: psi_step_numeric(S22, us, 2)),
+    ],
+    ids=["full-crossing", "full-contraction", "step"],
+)
+def test_numeric_word_refuses_a_pole(points, product):
+    us = [affine(Fraction(q, 3)) for q in points]
+    with pytest.raises(DivisionByZero):
+        product(us)
 
 
 def test_step_function_single_contraction():

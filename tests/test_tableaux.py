@@ -321,6 +321,26 @@ def test_parse_tableau_rejects_bad_moves():
         parse_tableau("R+1,1;L+1,1", S11)  # additions to the right before the wall
 
 
+@pytest.mark.parametrize(
+    "shape,spec,step",
+    [
+        (S11, "L-1,1;L+1,1", 1),  # a removal before the wall
+        (S11, "R+1,1;L+1,1", 1),  # a right addition before the wall
+        (S22, "L+1,1;L+1,3;R+1,1;R+1,2", 2),  # L+ to a cell that is not addable
+        (S22, "L+1,1;L+1,2;R+1,2;R+1,1", 3),  # R+ to a cell that is not addable
+        (S22, "L+1,1;L+1,2;L-2,1;L-1,2", 3),  # L- of a cell that is not removable
+        # the length check reports the step after the last move
+        (S11, "L+1,1;L-1,1;R+1,1", 4),
+    ],
+    ids=["remove-before-wall", "right-before-wall", "left-not-addable",
+         "right-not-addable", "left-not-removable", "one-move-too-long"],
+)
+def test_illegal_move_names_its_step(shape, spec, step):
+    with pytest.raises(IllegalMove) as err:
+        parse_tableau(spec, shape)
+    assert err.value.step == step
+
+
 def test_enumeration_matches_bratteli_paths():
     for shape in (S11, Shape(1, 2), Shape(2, 1), S22, Shape(2, 3)):
         assert len(enumerate_tableaux(shape)) == bratteli(shape).path_count()
