@@ -368,10 +368,10 @@ def idempotent_by(t: WalledTableau, method="first", variant="fwd", h=DEFAULT_H) 
 
 # Numeric products for the identity battery and the proof-level checks.
 
-def _at(shape: Shape, kind: str, i: int, j: int, arg: DeltaScalar, h=None) -> tuple:
+def _at(shape: Shape, kind: str, i: int, j: int, arg: DeltaScalar) -> tuple:
     """The factor of the given kind at a numeric argument, as the linear
     factor (root, gen, coeff) of _linear_factors to evaluate at u = 0."""
-    return _linear_factors(shape, [(kind, i, arg, 1)], j, h)[0]
+    return _linear_factors(shape, [(kind, i, arg, 1)], j)[0]
 
 
 def _evaluate(e, factors, u=ZERO) -> AlgebraElement:

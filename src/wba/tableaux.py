@@ -132,6 +132,7 @@ def parse_move(text: str) -> Move:
         raise ParseError(f"cannot parse move {text!r}") from exc
 
 
+@lru_cache(maxsize=None)
 def _advance(state: Bipartition, move: Move) -> Bipartition:
     """The bipartition after a move known to be legal from state."""
     cell = (move.row, move.col)
@@ -153,7 +154,7 @@ class WalledTableau:
         r, n = self.shape.r, self.shape.n
         state = Bipartition()
         steps = [state]
-        for t, move in enumerate(self.moves, 1):
+        for t, move in enumerate(self.moves[:n], 1):
             legal = _legal_moves(state, t, r)
             if move not in legal:
                 allowed = ", ".join(str(m) for m in legal)
@@ -161,7 +162,7 @@ class WalledTableau:
             state = _advance(state, move)
             steps.append(state)
         if len(self.moves) != n:
-            raise IllegalMove(len(self.moves) + 1, f"path length must be {n}")
+            raise IllegalMove(min(len(self.moves), n) + 1, f"path length must be {n}")
         object.__setattr__(self, "steps", tuple(steps))
 
     @property
@@ -213,13 +214,15 @@ def enumerate_bipartitions(shape: Shape) -> list:
     return out
 
 
-def _legal_moves(state: Bipartition, t: int, r: int) -> list:
-    """The moves a path may take at step t from state: the branching rule."""
+@lru_cache(maxsize=None)
+def _legal_moves(state: Bipartition, t: int, r: int) -> tuple:
+    """The moves a path may take at step t from state: the branching rule.
+    Cached, so that enumeration and validation share one tuple per state."""
     if t <= r:
-        return [Move("L+", i, j) for (i, j) in state.left.addable_cells()]
+        return tuple(Move("L+", i, j) for (i, j) in state.left.addable_cells())
     moves = [Move("R+", i, j) for (i, j) in state.right.addable_cells()]
     moves += [Move("L-", i, j) for (i, j) in state.left.removable_cells()]
-    return moves
+    return tuple(moves)
 
 
 def enumerate_tableaux(shape: Shape, final: Optional[Bipartition] = None) -> list:

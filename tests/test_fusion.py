@@ -13,9 +13,9 @@ from wba.errors import (
 )
 from wba.fusion import (
     DEFAULT_H,
-    _at,
     _evaluate,
     _evaluate_step_info,
+    _linear_factors,
     _step_factors,
     fusion_idempotent,
     fusion_with_minimal_prefactor,
@@ -131,7 +131,7 @@ def test_numeric_factor_is_symbolic_factor_at_a_point(shape, pairs):
             for b in (1, -1):
                 symbolic = baxter_factor(shape, k, i, j, a, b, DEFAULT_H)
                 arg = a + u0 if b == 1 else a - u0
-                numeric = _evaluate(one(shape), [_at(shape, k, i, j, arg, DEFAULT_H)])
+                numeric = _evaluate(one(shape), _linear_factors(shape, [(k, i, arg, 1)], j, DEFAULT_H))
                 assert numeric == _value_at(symbolic, u0), (k, i, j, b)
 
 

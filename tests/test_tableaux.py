@@ -329,8 +329,8 @@ def test_parse_tableau_rejects_bad_moves():
         (S22, "L+1,1;L+1,3;R+1,1;R+1,2", 2),  # L+ to a cell that is not addable
         (S22, "L+1,1;L+1,2;R+1,2;R+1,1", 3),  # R+ to a cell that is not addable
         (S22, "L+1,1;L+1,2;L-2,1;L-1,2", 3),  # L- of a cell that is not removable
-        # the length check reports the step after the last move
-        (S11, "L+1,1;L-1,1;R+1,1", 4),
+        # the length check reports the first step past the end of the path
+        (S11, "L+1,1;L-1,1;R+1,1", 3),
     ],
     ids=["remove-before-wall", "right-before-wall", "left-not-addable",
          "right-not-addable", "left-not-removable", "one-move-too-long"],
