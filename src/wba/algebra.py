@@ -15,7 +15,9 @@ from .diagrams import (
     _TABLE_MAX_SITES,
     Shape,
     WalledDiagram,
+    _shape_entry,
     compose,
+    composition_table,
     d_pair,
     identity,
     make_diagram,
@@ -159,7 +161,19 @@ def _scalar(c) -> DeltaScalar:
     return DeltaScalar.from_fraction(c)
 
 
+# Product route.  Once a shape's composition table is built, a product of at
+# least _DENSE_PAIR_THRESHOLD term pairs takes the dense path.  Before that,
+# only a product of at least _DENSE_ONE_OFF_PAIRS pairs pays for importing
+# numpy and tabulating the shape; callers that make many large products
+# build the table first, as verify._system_report does.  One-off `wba mul`
+# processes on a 2-core machine, CPU s and peak RSS MiB, sparse against
+# dense (medians of 3-5): (4,1), 120 x 120 terms, 0.37 / 19 against
+# 0.49 / 30; (3,3), 362 x 362, 1.72 / 32 against 2.93 / 37; 512 x 512
+# (2^18 pairs), 2.49 / 45 against 2.97 / 40; 600 x 600, 3.87 / 70 against
+# 2.78 / 42; 720 x 720, 5.17 / 71 against 2.87 / 44.  No 5-site product
+# reaches the cut-off, where the two routes cost about the same.
 _DENSE_PAIR_THRESHOLD = 1024
+_DENSE_ONE_OFF_PAIRS = 1 << 18
 
 # the dense path packs loop counts into 3 bits and int8 tables; a diagram on
 # n sites closes fewer than n loops
@@ -174,13 +188,12 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     canonicalizing scalar addition.  Large products on tabulated shapes take
     a vectorized path that aggregates the whole term-pair grid at once.
     """
-    from .diagrams import _shape_entry
-
     shape = a.shape
     space = _shape_entry(shape)
-    if (
-        len(a.terms) * len(b.terms) >= _DENSE_PAIR_THRESHOLD
-        and shape.n <= _TABLE_MAX_SITES
+    pairs = len(a.terms) * len(b.terms)
+    if shape.n <= _TABLE_MAX_SITES and (
+        pairs >= _DENSE_ONE_OFF_PAIRS
+        or (pairs >= _DENSE_PAIR_THRESHOLD and space.table is not None)
     ):
         return _mul_elements_dense(a, b, space)
 
@@ -232,8 +245,6 @@ def _mul_elements_dense(a: AlgebraElement, b: AlgebraElement, space) -> AlgebraE
     diagram.
     """
     import numpy as np
-
-    from .diagrams import composition_table
 
     table = composition_table(a.shape)
     if table is None:

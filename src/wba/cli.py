@@ -17,7 +17,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .algebra import element_from_json, element_to_json, element_to_text, jm_element
 from .diagrams import Shape
 from .errors import (
     IllegalMove,
@@ -27,10 +26,12 @@ from .errors import (
     TooLarge,
     WbaError,
 )
-from .fusion import DEFAULT_H, fusion_idempotent, idempotent_by
 from .scalars import parse_scalar
-from .tableaux import bratteli, enumerate_tableaux, is_semisimple, parse_tableau
-from .verify import certify_tableau, full_report
+
+# Each subcommand imports the layers it uses when it runs, so a process pays
+# only for those: `tableaux` never loads the algebra, `jm` and `mul` never
+# load fusion, and only `verify`, `--check` and `--method interp` load the
+# certification layer.
 
 _USAGE_ERRORS = (ParseError, IllegalMove, IndexOutOfRange, ShapeMismatch, TooLarge)
 
@@ -39,12 +40,15 @@ _USAGE_ERRORS = (ParseError, IllegalMove, IndexOutOfRange, ShapeMismatch, TooLar
 # printed one, (10,10), prints in about 4 s; the largest listing, the 2620
 # paths of a 9-site shape, takes about 2 s.  One fusion of a (4,4) path
 # takes about 0.65 s; verify goes up to the 7-site shapes, the largest it
-# is meant to certify.
+# is meant to certify.  The largest product mul accepts has the 720 x 720
+# term pairs of two full 6-site elements; it takes about 3 s on a 6-site
+# shape and about 6 s on a 7-site one, which has no composition table.
 _MAX_GRAPH_SITES = 24
 _MAX_PRINTED_GRAPH_SITES = 20
 _MAX_LISTED_PATHS = 5_000
 _MAX_FUSED_SITES = 8
 _MAX_CERTIFIED_SITES = 7
+_MAX_MUL_TERM_PAIRS = 720 * 720
 
 
 def _emit(obj) -> None:
@@ -92,6 +96,8 @@ def _load_json(fh, name: str):
 
 
 def cmd_tableaux(args) -> int:
+    from .tableaux import bratteli, enumerate_tableaux
+
     shape = _bounded_shape(args, _MAX_GRAPH_SITES)
     count = bratteli(shape).path_count()
     if args.count:
@@ -122,6 +128,10 @@ def cmd_tableaux(args) -> int:
 
 
 def cmd_idempotent(args) -> int:
+    from .algebra import element_to_json, element_to_text
+    from .fusion import DEFAULT_H, fusion_idempotent, idempotent_by
+    from .tableaux import is_semisimple, parse_tableau
+
     shape = _bounded_shape(args, _MAX_FUSED_SITES)
     if args.delta_rational is not None:
         value = _rational(args.delta_rational)
@@ -137,6 +147,8 @@ def cmd_idempotent(args) -> int:
         return 0
     payload = {"element": element_to_json(element)}
     if args.check:
+        from .verify import certify_tableau
+
         cert = certify_tableau(t, element, h=h)
         payload["certification"] = {
             "idempotent": cert.idempotent,
@@ -154,6 +166,9 @@ def cmd_idempotent(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .tableaux import is_semisimple
+    from .verify import full_report
+
     shape = _bounded_shape(args, _MAX_CERTIFIED_SITES)
     seed = _seed(args)
     delta = None if args.delta_rational is None else _rational(args.delta_rational)
@@ -166,6 +181,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bratteli(args) -> int:
+    from .tableaux import bratteli
+
     graph = bratteli(_bounded_shape(args, _MAX_PRINTED_GRAPH_SITES))
     if args.format == "dot":
         print(graph.to_dot())
@@ -175,11 +192,15 @@ def cmd_bratteli(args) -> int:
 
 
 def cmd_jm(args) -> int:
+    from .algebra import element_to_json, jm_element
+
     _emit(element_to_json(jm_element(_bounded_shape(args, _MAX_GRAPH_SITES), args.k)))
     return 0
 
 
 def cmd_mul(args) -> int:
+    from .algebra import element_from_json, element_to_json
+
     if args.files and args.files != ["-"]:
         if len(args.files) != 2:
             raise ParseError("mul expects exactly two element files or '-'")
@@ -196,6 +217,11 @@ def cmd_mul(args) -> int:
             raise ParseError("stdin must carry a JSON array of two elements")
     a = element_from_json(docs[0])
     b = element_from_json(docs[1])
+    pairs = len(a.terms) * len(b.terms)
+    if pairs > _MAX_MUL_TERM_PAIRS:
+        raise TooLarge(
+            f"a product of {pairs} term pairs, more than {_MAX_MUL_TERM_PAIRS}"
+        )
     _emit(element_to_json(a * b))
     return 0
 

@@ -18,8 +18,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraElement, iota, jm_element
-from .diagrams import Shape
+from .algebra import _DENSE_PAIR_THRESHOLD, AlgebraElement, iota, jm_element
+from .diagrams import Shape, composition_table
 from .errors import CancellationFailure, ZeroDenominator
 from .fusion import (
     DEFAULT_H,
@@ -196,6 +196,8 @@ def _system_report(shape: Shape, include_interp: bool, include_second: bool):
     report.timings["fusion"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    if max(len(e.terms) for e in elements) ** 2 >= _DENSE_PAIR_THRESHOLD:
+        composition_table(shape)  # the sweeps below share it
     for t, e in zip(tableaux, elements):
         report.tableaux.append(certify_tableau(t, e, include_interp, include_second))
     report.timings["per_tableau"] = time.perf_counter() - t0

@@ -82,17 +82,22 @@ def test_idempotent_golden_with_check(capsys):
 
 
 def test_check_of_the_first_method_fuses_once(capsys, monkeypatch):
-    import wba.cli
+    import wba.fusion
 
-    def refuse(t):
-        raise AssertionError("the first procedure ran twice")
+    calls = []
+    fuse = wba.fusion.fusion_idempotent
 
-    monkeypatch.setattr(wba.cli, "fusion_idempotent", refuse)
+    def counted(t):
+        calls.append(t)
+        return fuse(t)
+
+    monkeypatch.setattr(wba.fusion, "fusion_idempotent", counted)
     code, out = run(
         capsys, "idempotent", "2", "2", "--tableau", GOLDEN_SPEC, "--check"
     )
     assert code == 0
     assert json.loads(out)["certification"]["methods_agree"]["first"] is True
+    assert len(calls) == 1
 
 
 def test_idempotent_methods_match(capsys):
@@ -345,6 +350,28 @@ def test_mul_stdin(capsys, monkeypatch):
     code, out = run(capsys, "mul")
     assert code == 0
     assert element_from_json(json.loads(out)) == d.scale(DELTA)
+
+
+def test_mul_refuses_too_many_term_pairs_promptly(capsys, monkeypatch):
+    # 800 x 800 terms of a 7-site shape: 640 000 term pairs, more than the
+    # 720 x 720 of the largest 6-site product; the sparse path would take
+    # seconds and the full 5040-term square minutes
+    import io
+    import itertools
+    import time
+
+    diagrams = itertools.islice(itertools.permutations(range(1, 8)), 800)
+    element = {
+        "r": 3,
+        "s": 4,
+        "terms": [{"diagram": list(img), "coeff": "1"} for img in diagrams],
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([element, element])))
+    start = time.perf_counter()
+    code, out = run(capsys, "mul", "-")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "TooLarge"
 
 
 def test_verify_small_shape(capsys):

@@ -1,0 +1,127 @@
+"""What a wba process loads, and which route its products take.
+
+Each subcommand imports only the layers it uses, so a short process does not
+pay for fusion, certification or numpy that it never runs.  A one-off large
+product stays on the sparse path unless it is large enough to pay for the
+composition table; once the table is built, large products use it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wba.algebra as algebra
+from wba.algebra import element_to_json
+from wba.diagrams import Shape, _shape_entry, composition_table
+from wba.fusion import fusion_idempotent
+from wba.tableaux import enumerate_tableaux
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs the wba command line in this process, then reports the loaded modules
+PROBE = """
+import json, sys
+import wba.cli
+code = wba.cli.main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(json.dumps(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+def loaded_modules(*argv, stdin=None):
+    """Run `wba ARGV` in a fresh interpreter; return (process, loaded modules)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        input=stdin,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc, set(json.loads(proc.stderr))
+
+
+def wba_modules(modules):
+    return {m for m in modules if m == "wba" or m.startswith("wba.")}
+
+
+def full_idempotents(shape, count=2):
+    """The first `count` idempotents of shape whose support is every diagram."""
+    out = []
+    for t in enumerate_tableaux(shape):
+        e = fusion_idempotent(t)
+        if len(e.terms) == len(_shape_entry(shape).by_idx):
+            out.append(e)
+            if len(out) == count:
+                return out
+    raise AssertionError(f"fewer than {count} full idempotents on {shape}")
+
+
+def test_importing_the_cli_loads_no_layer_beyond_its_own():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, wba.cli; print(json.dumps(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout))
+    assert wba_modules(modules) == {"wba", "wba.cli", "wba.errors", "wba.diagrams", "wba.scalars"}
+    assert "numpy" not in modules
+
+
+def small_product_input():
+    shape = Shape(2, 2)
+    e = fusion_idempotent(enumerate_tableaux(shape)[0])
+    return json.dumps([element_to_json(e), element_to_json(e)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("jm", "2", "2", "1"), ("tableaux", "2", "2"), ("mul", "-")],
+    ids=["jm", "tableaux", "mul-4-sites"],
+)
+def test_light_subcommands_load_neither_fusion_nor_verify_nor_numpy(argv):
+    stdin = small_product_input() if argv[0] == "mul" else None
+    proc, modules = loaded_modules(*argv, stdin=stdin)
+    assert proc.returncode == 0, proc.stdout
+    assert not modules & {"wba.fusion", "wba.verify", "numpy"}
+
+
+def test_one_off_large_product_stays_off_numpy():
+    # a single (4,1) product of two full idempotents (14 400 term pairs) is
+    # cheaper on the sparse path than importing numpy and tabulating the shape
+    shape = Shape(4, 1)
+    a, b = full_idempotents(shape)
+    dense = algebra._mul_elements_dense(a, b, _shape_entry(shape))
+    want = json.dumps(element_to_json(dense), indent=2) + "\n"
+
+    stdin = json.dumps([element_to_json(a), element_to_json(b)])
+    proc, modules = loaded_modules("mul", "-", stdin=stdin)
+    assert proc.returncode == 0, proc.stdout
+    assert "numpy" not in modules
+    assert proc.stdout == want
+
+
+def test_large_product_takes_the_built_table(monkeypatch):
+    shape = Shape(2, 3)
+    a, b = full_idempotents(shape)
+    assert len(a.terms) * len(b.terms) >= algebra._DENSE_PAIR_THRESHOLD
+    composition_table(shape)
+
+    calls = []
+    dense = algebra._mul_elements_dense
+
+    def counted(*args):
+        calls.append(None)
+        return dense(*args)
+
+    monkeypatch.setattr(algebra, "_mul_elements_dense", counted)
+    a * b
+    assert len(calls) == 1
