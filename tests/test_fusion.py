@@ -372,6 +372,24 @@ def test_non_generic_h_is_refused():
         second_fusion_idempotent(t, ZERO)
 
 
+@pytest.mark.parametrize(
+    "r, s, spec",
+    [
+        # c_1 + c_2 = h: the s'_{1,2} factor's root meets step 2's content
+        (0, 3, "R+1,1;R+1,2;R+1,3"),
+        # c_2 - c_3 + h - d = 0: the d'_{2,3} factor's root meets step 3's content
+        (2, 1, "L+1,1;L+2,1;R+1,1"),
+    ],
+)
+def test_non_generic_h_at_a_primed_factor_root(r, s, spec):
+    shape = Shape(r, s)
+    t = parse_tableau(spec, shape)
+    h = 2 * DELTA + 1
+    assert not h_is_generic(shape, t.contents(), h)
+    with pytest.raises(NonGenericH):
+        second_fusion_idempotent(t, h)
+
+
 def test_identity_battery_22():
     report = identity_checks(S22, seed=11, points=4)
     assert report["all_pass"]
