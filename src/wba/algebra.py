@@ -29,7 +29,6 @@ from .errors import IndexOutOfRange, ParseError, ShapeMismatch
 from .scalars import (
     DELTA,
     ONE,
-    ZERO,
     DeltaScalar,
     _den_lcm,
     padd,
@@ -39,15 +38,6 @@ from .scalars import (
     scalar_linear_combination,
     scalar_str,
 )
-
-_DELTA_POWERS = [ONE, DELTA]
-
-
-def _delta_power(k: int) -> DeltaScalar:
-    while len(_DELTA_POWERS) <= k:
-        _DELTA_POWERS.append(_DELTA_POWERS[-1] * DELTA)
-    return _DELTA_POWERS[k]
-
 
 class AlgebraElement:
     __slots__ = ("shape", "terms", "_cleared")
@@ -95,12 +85,6 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.shape == other.shape and self.terms == other.terms
-
-    def coeff(self, d: WalledDiagram) -> DeltaScalar:
-        return self.terms.get(d, ZERO)
-
-    def support(self):
-        return self.terms.keys()
 
     def _check_shape(self, other):
         if self.shape != other.shape:
@@ -221,7 +205,7 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                     loops = hit & 0xFF
                     c = weighted.get(loops)
                     if c is None:
-                        c = c0 * _delta_power(loops)
+                        c = c0 * DELTA**loops
                         weighted[loops] = c
                     bucket = buckets.get(hit >> 8)
                     if bucket is None:
@@ -246,10 +230,7 @@ def _mul_elements_dense(a: AlgebraElement, b: AlgebraElement, space) -> AlgebraE
     """
     import numpy as np
 
-    table = composition_table(a.shape)
-    if table is None:
-        raise AssertionError("dense path requested for an untabulated shape")
-    table_idx, table_loops = table
+    table_idx, table_loops = composition_table(a.shape)
 
     def split(element):
         den, cleared = element._cleared_form()

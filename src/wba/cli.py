@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .diagrams import Shape
+from .diagrams import _TABLE_MAX_SITES, Shape
 from .errors import (
     IllegalMove,
     IndexOutOfRange,
@@ -40,14 +40,18 @@ _USAGE_ERRORS = (ParseError, IllegalMove, IndexOutOfRange, ShapeMismatch, TooLar
 # printed one, (10,10), prints in about 4 s; the largest listing, the 2620
 # paths of a 9-site shape, takes about 2 s.  One fusion of a (4,4) path
 # takes about 0.65 s; verify goes up to the 7-site shapes, the largest it
-# is meant to certify.  The largest product mul accepts has the 720 x 720
-# term pairs of two full 6-site elements; it takes about 3 s on a 6-site
-# shape and about 6 s on a 7-site one, which has no composition table.
+# is meant to certify.  Checking e*e = e and orthogonality (`idempotent
+# --check`, `verify --suite all` and `system`) stops at the tabulated
+# 6-site shapes: a 7-site idempotent has 5040 terms, and squaring it alone
+# takes minutes.  The largest product mul accepts has the 720 x 720 term
+# pairs of two full 6-site elements; it takes about 3 s on a 6-site shape
+# and about 6 s on a 7-site one, which has no composition table.
 _MAX_GRAPH_SITES = 24
 _MAX_PRINTED_GRAPH_SITES = 20
 _MAX_LISTED_PATHS = 5_000
 _MAX_FUSED_SITES = 8
 _MAX_CERTIFIED_SITES = 7
+_MAX_CHECKED_SITES = _TABLE_MAX_SITES
 _MAX_MUL_TERM_PAIRS = 720 * 720
 
 
@@ -132,7 +136,7 @@ def cmd_idempotent(args) -> int:
     from .fusion import DEFAULT_H, fusion_idempotent, idempotent_by
     from .tableaux import is_semisimple, parse_tableau
 
-    shape = _bounded_shape(args, _MAX_FUSED_SITES)
+    shape = _bounded_shape(args, _MAX_CHECKED_SITES if args.check else _MAX_FUSED_SITES)
     if args.delta_rational is not None:
         value = _rational(args.delta_rational)
         if not is_semisimple(shape.r, shape.s, value):
@@ -169,7 +173,8 @@ def cmd_verify(args) -> int:
     from .tableaux import is_semisimple
     from .verify import full_report
 
-    shape = _bounded_shape(args, _MAX_CERTIFIED_SITES)
+    checked = args.suite in ("all", "system")
+    shape = _bounded_shape(args, _MAX_CHECKED_SITES if checked else _MAX_CERTIFIED_SITES)
     seed = _seed(args)
     delta = None if args.delta_rational is None else _rational(args.delta_rational)
     report = full_report(shape, seed=seed, suite=args.suite)

@@ -17,7 +17,8 @@ Composition places the upper diagram above the lower one, glues the middle
 row, traces the boundary paths and counts the closed loops left in the middle
 row; the algebra layer turns each loop into a factor of the parameter d.
 Diagrams are interned per shape so they can serve as dict keys with identity
-semantics, and compositions are memoized per shape.
+semantics, and compositions are memoized per shape, in a memo that empties
+itself at the scalar memos' size limit.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import IndexOutOfRange, ShapeMismatch
+from .scalars import _cache_put
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,8 @@ def epsilon(shape: Shape, j: int) -> int:
 
 
 class WalledDiagram:
-    """An interned walled diagram; construct through make_diagram."""
+    """An interned walled diagram; construct through make_diagram.  Equal
+    diagrams are the same object, so equality is identity."""
 
     __slots__ = ("shape", "img", "idx", "_hash", "_mt", "_mb")
 
@@ -63,13 +66,6 @@ class WalledDiagram:
 
     def __hash__(self):
         return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, WalledDiagram):
-            return self.shape == other.shape and self.img == other.img
-        return NotImplemented
 
     def __repr__(self):
         return f"WalledDiagram({self.shape.r},{self.shape.s},{list(self.img)})"
@@ -206,7 +202,7 @@ def compose(upper: WalledDiagram, lower: WalledDiagram) -> CompositionResult:
         return CompositionResult(space.by_idx[hit >> 8], hit & 0xFF)
     diagram, loops = _compose_raw(upper, lower)
     assert loops < 1 << 8, "loop count overflows the compose-cache value"
-    space.cache[key] = (diagram.idx << 8) | loops
+    _cache_put(space.cache, key, (diagram.idx << 8) | loops)
     return CompositionResult(diagram, loops)
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .algebra import AlgebraElement
-from .diagrams import Shape, d_pair, epsilon, s_pair
+from .diagrams import Shape, d_pair, epsilon, identity, s_pair
 from .errors import (
     CancellationFailure,
     DivisionByZero,
@@ -257,26 +257,20 @@ def _minimal_step_prefactor(c, p: int) -> tuple:
 
 
 def leftover_prefactor_value(shape: Shape, contents, p) -> DeltaScalar:
-    """Consecutive evaluations of (full prefactor)/(minimal prefactor).
+    """Consecutive evaluations of (full prefactor)/(minimal prefactor), each
+    a fusion step with no factors whose value is a multiple of 1.
 
     Raises CancellationFailure if any step leaves a pole; the value may in
     principle be zero, which callers surface rather than assume away.
     """
+    one = AlgebraElement.one(shape)
     total = ONE
     for k in range(1, len(contents) + 1):
         c = contents[k - 1]
         zeros, poles = step_prefactor(shape, contents, k)
         min_zeros, min_poles = _minimal_step_prefactor(c, p[k - 1] if k > shape.r else 0)
-        num, den = zeros + min_poles, poles + min_zeros
-        mn, md = num.count(c), den.count(c)
-        if md > mn:
-            raise CancellationFailure(
-                f"prefactor leftover has a pole of order {md - mn} at step {k}"
-            )
-        # where mn > md the leftover vanishes at c
-        num_value = _taylor([a for a in num if a != c], c, 0)[0] if mn == md else ZERO
-        den_value = _taylor([b for b in den if b != c], c, 0)[0]
-        total = total * num_value * den_value.inverse()
+        step = _evaluate_step_info(one, [], k, (zeros + min_poles, poles + min_zeros), c)[0]
+        total = total * step.terms.get(identity(shape), ZERO)
     return total
 
 
@@ -313,26 +307,26 @@ def fusion_with_minimal_prefactor(t: WalledTableau, override_exponents=None, ref
 
 def h_is_generic(shape: Shape, contents, h: DeltaScalar) -> bool:
     """True when no modified-factor or prefactor denominator vanishes at any
-    evaluation point for this content sequence."""
-    r = shape.r
-    for k in range(r + 1, len(contents) + 1):
+    evaluation point for this content sequence: no root of an s' or d'
+    factor, nor the prefactor's pole h - c_k, lies at the content c_k."""
+    for k in range(shape.r + 1, len(contents) + 1):
         ck = contents[k - 1]
-        if not (ck + ck - h):
+        linear = _linear_factors(shape, _primed_block(shape, contents, k), k, h)
+        if ck in [root for root, _, _ in linear] + [h - ck]:
             return False
-        for i in range(r + 1, k):
-            if not (contents[i - 1] + ck - h):
-                return False
-        for i in range(1, r + 1):
-            if not (contents[i - 1] - ck + h - DELTA):
-                return False
     return True
 
 
-def _second_block_factors(shape: Shape, contents, k: int, mirror: bool) -> list:
-    """s'_{k-1,k}(c_{k-1} + u) ... s'_{r+1,k}(c_{r+1} + u), then the d' block,
-    then the step-k product; reversed for the mirror variant."""
+def _primed_block(shape: Shape, contents, k: int) -> list:
+    """s'_{k-1,k}(c_{k-1} + u) ... s'_{r+1,k}(c_{r+1} + u), then the d' block."""
     s_prime = [("s'", i, contents[i - 1], 1) for i in range(k - 1, shape.r, -1)]
-    factors = s_prime + _d_prime_block(shape, contents) + _step_factors(shape, contents, k)
+    return s_prime + _d_prime_block(shape, contents)
+
+
+def _second_block_factors(shape: Shape, contents, k: int, mirror: bool) -> list:
+    """The primed block, then the step-k product; reversed for the mirror
+    variant."""
+    factors = _primed_block(shape, contents, k) + _step_factors(shape, contents, k)
     if mirror:
         factors.reverse()
     return factors

@@ -38,10 +38,6 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise IndexOutOfRange(f"partition parts must be weakly decreasing: {parts}")
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
     def cells(self) -> tuple:
         return tuple(
             (i, j) for i, row in enumerate(self.parts, 1) for j in range(1, row + 1)

@@ -245,15 +245,15 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: wba verify")
 
 
-def run_process(*argv):
-    """Run wba in a fresh interpreter, killed after 30 s."""
+def run_process(*argv, timeout=30):
+    """Run wba in a fresh interpreter, killed after timeout seconds."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
         [sys.executable, "-m", "wba.cli", *argv],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
-        timeout=30,
+        timeout=timeout,
     )
 
 
@@ -280,6 +280,23 @@ def test_huge_number_is_refused_promptly(argv):
     proc = run_process(*argv)
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["idempotent", "3", "4", "--tableau", "L+1,1;L+1,2;L+1,3;R+1,1;R+1,2;R+1,3;R+1,4",
+         "--check"],
+        ["verify", "3", "4"],
+        ["verify", "2", "5", "--suite", "system"],
+    ],
+    ids=["idempotent-check", "verify-all", "verify-system"],
+)
+def test_certification_above_six_sites_is_refused_promptly(argv):
+    # e*e of a 5040-term 7-site idempotent alone takes minutes
+    proc = run_process(*argv, timeout=5)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "TooLarge"
 
 
 def test_closed_stdout_ends_quietly():

@@ -183,3 +183,21 @@ def test_loops_bounded_by_min_side():
     d13, d24 = d_pair(S22, 1, 3), d_pair(S22, 2, 4)
     top, _ = _word(S22, [d13, d24])
     assert compose(top, top).loops == 2
+
+
+def test_compose_memo_is_bounded(monkeypatch):
+    # the memo empties itself at the scalar memos' limit, and what it returns
+    # after a clear is still the composition
+    from wba.diagrams import _compose_raw, _shape_entry
+
+    monkeypatch.setattr("wba.scalars._CACHE_LIMIT", 64)
+    cache = _shape_entry(S22).cache
+    cache.clear()
+    diagrams = list(all_diagrams(S22))
+    largest = 0
+    for a in diagrams:
+        for b in diagrams:
+            got = compose(a, b)
+            largest = max(largest, len(cache))
+            assert (got.diagram, got.loops) == _compose_raw(a, b)
+    assert largest <= 65

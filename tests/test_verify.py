@@ -1,7 +1,10 @@
+import json
+from fractions import Fraction
+
 import pytest
 
 import wba.verify as verify
-from wba.algebra import AlgebraElement, embed
+from wba.algebra import AlgebraElement, embed, sorted_terms
 from wba.diagrams import Shape, d_gen
 from wba.fusion import fuse_contents, fusion_idempotent
 from wba.scalars import DELTA, ONE, affine
@@ -65,6 +68,50 @@ def test_check_system_22():
     assert report.spectra_distinct
     js = report.to_json()
     assert js["ok"] and js["completeness_residual_terms"] == 0
+
+
+def _perturbed(e):
+    """e plus half of its first diagram."""
+    d, _ = sorted_terms(e)[0]
+    return e + AlgebraElement.from_diagram(d, affine(Fraction(1, 2)))
+
+
+def _perturb_golden(monkeypatch):
+    """Make check_system see the golden idempotent perturbed."""
+
+    def fused(t):
+        e = fusion_idempotent(t)
+        return _perturbed(e) if t.moves_str() == GOLDEN_SPEC else e
+
+    monkeypatch.setattr(verify, "fusion_idempotent", fused)
+
+
+def test_certificate_of_a_perturbed_idempotent_fails():
+    t = parse_tableau(GOLDEN_SPEC, S22)
+    cert = verify.certify_tableau(t, _perturbed(fusion_idempotent(t)))
+    assert not cert.idempotent
+    assert not cert.jm_spectrum
+    assert cert.interp_agrees is False
+    assert not cert.ok
+
+
+def test_check_system_with_a_perturbed_idempotent_fails(monkeypatch):
+    _perturb_golden(monkeypatch)
+    report = check_system(S22)
+    assert not report.orthogonal
+    assert report.orthogonality_failures
+    assert all(GOLDEN_SPEC in pair for pair in report.orthogonality_failures)
+    assert not report.completeness_ok
+    assert report.completeness_residual_terms > 0
+    assert not report.ok
+
+
+def test_verify_cli_with_a_perturbed_idempotent_exits_1(monkeypatch, capsys):
+    from wba.cli import main
+
+    _perturb_golden(monkeypatch)
+    assert main(["verify", "2", "2", "--suite", "system"]) == 1
+    assert not json.loads(capsys.readouterr().out)["ok"]
 
 
 def test_check_system_12():
