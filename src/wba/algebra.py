@@ -21,7 +21,6 @@ from .diagrams import (
     d_pair,
     identity,
     make_diagram,
-    s_gen,
     s_pair,
     vertical_flip,
 )
@@ -151,13 +150,14 @@ def _scalar(c) -> DeltaScalar:
 # numpy and tabulating the shape; callers that make many large products
 # build the table first, as verify._system_report does.  One-off `wba mul`
 # processes on a 2-core machine, CPU s and peak RSS MiB, sparse against
-# dense (medians of 3-5): (4,1), 120 x 120 terms, 0.37 / 19 against
-# 0.49 / 30; (3,3), 362 x 362, 1.72 / 32 against 2.93 / 37; 512 x 512
-# (2^18 pairs), 2.49 / 45 against 2.97 / 40; 600 x 600, 3.87 / 70 against
-# 2.78 / 42; 720 x 720, 5.17 / 71 against 2.87 / 44.  No 5-site product
-# reaches the cut-off, where the two routes cost about the same.
+# dense (medians of 3): (4,1), 120 x 120 idempotents, 0.24 / 18 against
+# 0.30 / 30; (3,3) idempotents cut to their first k terms, 181 x 181,
+# 0.50 / 22 against 0.59 / 34; 256 x 256 (2^16 pairs), 0.86 / 25 against
+# 0.59 / 36; 362 x 362, 1.27 / 31 against 0.66 / 37; 512 x 512, 2.29 / 45
+# against 0.68 / 40; 600 x 600, 3.19 / 69 against 0.66 / 42; 720 x 720,
+# 3.76 / 71 against 0.75 / 45.  No 5-site product reaches the cut-off.
 _DENSE_PAIR_THRESHOLD = 1024
-_DENSE_ONE_OFF_PAIRS = 1 << 18
+_DENSE_ONE_OFF_PAIRS = 1 << 16
 
 # the dense path packs loop counts into 3 bits and int8 tables; a diagram on
 # n sites closes fewer than n loops
@@ -292,15 +292,6 @@ def iota(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.shape, {vertical_flip(d): c for d, c in a.terms.items()})
 
 
-def embed(a: AlgebraElement, shape: Shape) -> AlgebraElement:
-    """View an element of (r, s') inside (r, s), s >= s', via vertical strands."""
-    if shape.r != a.shape.r or shape.s < a.shape.s:
-        raise ShapeMismatch(f"cannot embed {a.shape} into {shape}")
-    extra = range(a.shape.n + 1, shape.n + 1)
-    terms = {make_diagram(shape, d.img + tuple(extra)): c for d, c in a.terms.items()}
-    return AlgebraElement(shape, terms)
-
-
 def jm_element(shape: Shape, k: int) -> AlgebraElement:
     """The k-th Jucys-Murphy element x_k."""
     r, n = shape.r, shape.n
@@ -317,24 +308,6 @@ def jm_element(shape: Shape, k: int) -> AlgebraElement:
             acc = acc + AlgebraElement.from_diagram(s_pair(shape, i, k))
         acc = acc + AlgebraElement.one(shape).scale(DELTA)
     return acc
-
-
-def subalgebra_generators(shape: Shape, k: int) -> list:
-    """Generators of the subalgebra of diagrams trivial beyond the first k sites."""
-    r, n = shape.r, shape.n
-    if not 0 <= k <= n:
-        raise IndexOutOfRange(f"subalgebra level {k} outside 0..{n}")
-    gens = []
-    for i in range(1, k):
-        if i != r:
-            gens.append(AlgebraElement.from_diagram(s_gen(shape, i)))
-    if k >= r + 1 and r >= 1 and shape.s >= 1:
-        gens.append(AlgebraElement.from_diagram(d_pair(shape, r, r + 1)))
-    return gens
-
-
-def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b - b * a
 
 
 def element_to_json(a: AlgebraElement) -> dict:
@@ -382,51 +355,3 @@ def element_to_text(a: AlgebraElement) -> str:
     for d, c in sorted_terms(a):
         lines.append(f"{scalar_str(c)} * {list(d.img)}")
     return "\n".join(lines)
-
-
-def defining_relations_hold(shape: Shape) -> dict:
-    """Check the defining relations of the algebra in the given shape.
-
-    Returns a dict mapping relation name to bool; requires r, s >= 1 and is
-    intended for shapes where both sides of the wall have at least two columns
-    (the braid and mixed relations need them).
-    """
-    r, n = shape.r, shape.n
-    one = AlgebraElement.one(shape)
-
-    def elem(d):
-        return AlgebraElement.from_diagram(d)
-
-    s = {
-        i: elem(s_gen(shape, i))
-        for i in range(1, n)
-        if i != r
-    }
-    d = elem(d_pair(shape, r, r + 1))
-    results = {}
-    results["s_squared"] = all(s[i] * s[i] == one for i in s)
-    results["d_squared"] = (d * d) == d.scale(DELTA)
-    results["braid"] = all(
-        s[i] * s[i + 1] * s[i] == s[i + 1] * s[i] * s[i + 1]
-        for i in s
-        if i + 1 in s
-    )
-    results["distant_s_commute"] = all(
-        s[i] * s[j] == s[j] * s[i] for i in s for j in s if j > i + 1
-    )
-    results["d_s_adjacent"] = all(
-        d * s[i] * d == d for i in (r - 1, r + 1) if i in s
-    )
-    results["d_s_commute"] = all(
-        d * s[i] == s[i] * d for i in s if i not in (r - 1, r + 1)
-    )
-    if r - 1 in s and r + 1 in s:
-        results["mixed_braid_1"] = (
-            d * s[r + 1] * s[r - 1] * d * s[r - 1]
-            == d * s[r + 1] * s[r - 1] * d * s[r + 1]
-        )
-        results["mixed_braid_2"] = (
-            s[r - 1] * d * s[r + 1] * s[r - 1] * d
-            == s[r + 1] * d * s[r + 1] * s[r - 1] * d
-        )
-    return results

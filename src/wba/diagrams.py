@@ -24,6 +24,7 @@ itself at the scalar memos' size limit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -253,11 +254,24 @@ def _compose_raw(upper: WalledDiagram, lower: WalledDiagram):
 # dense tables stay affordable up to six sites (720^2 entries)
 _TABLE_MAX_SITES = 6
 
+# the table kernel stores result indices (below n!) as int32 and looks each
+# result image up by its base-n code (below n^n); both must fit int32
+assert math.factorial(_TABLE_MAX_SITES) < 1 << 31
+assert _TABLE_MAX_SITES**_TABLE_MAX_SITES < 1 << 31
+
+# term pairs composed at once by the table kernel; bounds its temporaries
+_TABLE_BLOCK_PAIRS = 1024
+
 
 def composition_table(shape: Shape):
     """The full composition table of a small shape as numpy arrays
     (result index, loop count), built once and cached; None when the shape is
-    too large to tabulate."""
+    too large to tabulate.
+
+    Entry [u, l] is the composition of by_idx[u] above by_idx[l].  A block of
+    upper diagrams meets every lower diagram at once, and the paths of all
+    its pairs are traced in lockstep; `_compose_raw` is the single-pair oracle.
+    """
     space = _shape_entry(shape)
     if space.table is not None:
         return space.table
@@ -265,18 +279,78 @@ def composition_table(shape: Shape):
         return None
     import numpy as np
 
-    diagrams = list(all_diagrams(shape))
+    r, n = shape.r, shape.n
+    for _ in all_diagrams(shape):  # intern the rest after those already present
+        pass
+    diagrams = space.by_idx
     count = len(diagrams)
-    diagrams = space.by_idx  # include any interning order already present
-    assert len(diagrams) == count
+
+    # Each pair gets a row of 3(n + 1) positions: 1..n hold the lower
+    # diagram's top partners, n+2..2n+1 the upper diagram's bottom partners,
+    # and exit + t, the result's target t, maps to itself.  A partner on the
+    # middle row names the position that continues the path across it, so
+    # one gather is one hop.
+    width, exit_ = 3 * (n + 1), 2 * n + 2
+    partners = np.array([d._mt + d._mb for d in diagrams], dtype=np.intp) + n
+    signed = range(-n, n + 1)
+    # seen from the lower diagram, +j is the middle point j and -j the target j
+    as_lower = np.array([n + 1 + v if v > 0 else exit_ - v for v in signed])[partners]
+    # seen from the upper diagram, -j is the middle point j and +j the target j
+    as_upper = np.array([-v if v < 0 else exit_ + v for v in signed])[partners]
+
+    # each diagram's index by the base-n code of its image
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    lookup = np.zeros(n**n, dtype=np.int32)
+    images = np.array([d.img for d in diagrams], dtype=np.intp).reshape(count, n)
+    lookup[(images - 1) @ weights] = np.arange(count, dtype=np.int32)
+    code_base = (exit_ + 1) * int(weights.sum())
+
+    uppers = max(1, _TABLE_BLOCK_PAIRS // count)
+    rows = np.empty((uppers, count, width), dtype=np.intp)
+    rows[:, :, : n + 1] = as_lower[:, : n + 1]
+    rows[:, :, exit_:] = np.arange(exit_, width)
+    # sources i <= r leave from the upper top row, the others from the lower
+    # bottom row
+    starts = np.empty((uppers, count, n), dtype=np.intp)
+    starts[:, :, r:] = as_lower[:, n + 2 + r :]
+    labels = np.arange(n + 1)
+    doublings = n.bit_length()  # 2^doublings > n covers every orbit
+
     idx = np.empty((count, count), dtype=np.int32)
-    loops_arr = np.empty((count, count), dtype=np.int8)
-    for i, da in enumerate(diagrams):
-        for j, db in enumerate(diagrams):
-            dc, loops = _compose_raw(da, db)
-            idx[i, j] = dc.idx
-            loops_arr[i, j] = loops
-    space.table = (idx, loops_arr)
+    loops = np.empty((count, count), dtype=np.int8)
+    for u0 in range(0, count, uppers):
+        k = min(uppers, count - u0)
+        rows[:k, :, n + 1 : exit_] = as_upper[u0 : u0 + k, None, n + 1 :]
+        starts[:k, :, :r] = as_upper[u0 : u0 + k, None, 1 : r + 1]
+        flat = rows[:k].reshape(-1)
+        pairs = k * count
+        base = np.arange(0, pairs * width, width)[:, None]
+
+        # a path crosses each middle point at most once, so n hops end it
+        cur = starts[:k].reshape(pairs, n)
+        for _ in range(n):
+            cur = flat[cur + base]
+        idx[u0 : u0 + k] = lookup[cur @ weights - code_base].reshape(k, count)
+
+        # f(m) = -umb[lmt[m]] steps two middle points along a closed loop, and
+        # the two parities of its points make two f-cycles; on an open path f
+        # runs into the sink 0.  Pointer doubling finds each orbit's least
+        # point, and a point that is its orbit's least closes one f-cycle.
+        f = flat[flat[base + labels] + base]
+        f = np.where(f <= n, f, 0).ravel()
+        least = np.broadcast_to(labels, (pairs, n + 1)).ravel()
+        step = np.arange(0, pairs * (n + 1), n + 1).repeat(n + 1)
+        for _ in range(doublings):
+            jump = f + step
+            least = np.minimum(least, least[jump])
+            f = f[jump]
+        # the sink's orbit and two f-cycles per closed loop
+        orbits = (least.reshape(pairs, n + 1) == labels).sum(axis=1)
+        loops[u0 : u0 + k] = (orbits // 2).reshape(k, count)
+
+    # the dense product packs loop counts into 3 bits
+    assert loops.max() < 8
+    space.table = (idx, loops)
     return space.table
 
 

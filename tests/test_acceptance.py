@@ -11,10 +11,7 @@ import pytest
 
 from wba.algebra import (
     AlgebraElement,
-    commutator,
-    defining_relations_hold,
     jm_element,
-    subalgebra_generators,
 )
 from wba.diagrams import Shape, all_diagrams, d_gen, s_gen
 from wba.errors import CancellationFailure
@@ -35,6 +32,7 @@ from wba.tableaux import (
     parse_tableau,
 )
 from wba.verify import check_proof_lemmas, check_system, interp_idempotent
+from algebra_helpers import commutator, defining_relations_hold, subalgebra_generators
 
 GOLDEN_SPEC = "L+1,1;L+2,1;L-2,1;L-1,1"
 

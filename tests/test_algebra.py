@@ -6,18 +6,15 @@ from hypothesis import strategies as st
 
 from wba.algebra import (
     AlgebraElement,
-    commutator,
-    defining_relations_hold,
     element_from_json,
     element_to_json,
-    embed,
     iota,
     jm_element,
-    subalgebra_generators,
 )
 from wba.diagrams import Shape, d_gen, d_pair, make_diagram, s_gen, vertical_flip
 from wba.errors import ParseError, ShapeMismatch
 from wba.scalars import DELTA, ONE, DeltaScalar
+from algebra_helpers import commutator, defining_relations_hold, embed, subalgebra_generators
 
 S11 = Shape(1, 1)
 S22 = Shape(2, 2)

@@ -76,6 +76,25 @@ def test_importing_the_cli_loads_no_layer_beyond_its_own():
     assert "numpy" not in modules
 
 
+def test_untabulated_shape_never_imports_numpy():
+    # a 7-site shape has no composition table, and asking for one is free
+    probe = (
+        "import json, sys\n"
+        "from wba.diagrams import Shape, composition_table\n"
+        "table = composition_table(Shape(3, 4))\n"
+        "print(json.dumps([table is None, 'numpy' in sys.modules]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, False]
+
+
 def small_product_input():
     shape = Shape(2, 2)
     e = fusion_idempotent(enumerate_tableaux(shape)[0])

@@ -1,13 +1,19 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wba.diagrams as diagrams_module
 from wba.diagrams import (
     Shape,
+    _compose_raw,
+    _shape_entry,
     all_diagrams,
     compose,
+    composition_table,
     d_gen,
     d_pair,
     epsilon,
@@ -188,8 +194,6 @@ def test_loops_bounded_by_min_side():
 def test_compose_memo_is_bounded(monkeypatch):
     # the memo empties itself at the scalar memos' limit, and what it returns
     # after a clear is still the composition
-    from wba.diagrams import _compose_raw, _shape_entry
-
     monkeypatch.setattr("wba.scalars._CACHE_LIMIT", 64)
     cache = _shape_entry(S22).cache
     cache.clear()
@@ -201,3 +205,66 @@ def test_compose_memo_is_bounded(monkeypatch):
             largest = max(largest, len(cache))
             assert (got.diagram, got.loops) == _compose_raw(a, b)
     assert largest <= 65
+
+
+@pytest.fixture
+def fresh_registry(monkeypatch):
+    """An empty diagram registry, so each shape's table is built anew."""
+    monkeypatch.setattr(diagrams_module, "_REGISTRY", {})
+
+
+def assert_table_is_the_composition(shape):
+    """Every entry of the shape's table is `_compose_raw` of its pair."""
+    idx, loops = composition_table(shape)
+    diagrams = _shape_entry(shape).by_idx
+    assert idx.dtype == np.int32 and loops.dtype == np.int8
+    assert idx.shape == loops.shape == (len(diagrams), len(diagrams))
+    for a, row_idx, row_loops in zip(diagrams, idx.tolist(), loops.tolist()):
+        want = [_compose_raw(a, b) for b in diagrams]
+        assert row_idx == [d.idx for d, _ in want]
+        assert row_loops == [count for _, count in want]
+
+
+@pytest.mark.parametrize(
+    "r,s", [(r, n - r) for n in range(6) for r in range(n + 1)]
+)
+def test_composition_table_matches_compose_raw(fresh_registry, r, s):
+    assert_table_is_the_composition(Shape(r, s))
+
+
+def test_composition_table_matches_compose_raw_on_3_3(fresh_registry):
+    assert_table_is_the_composition(S33)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("r", range(7))
+def test_composition_table_matches_compose_raw_on_six_sites(fresh_registry, r):
+    assert_table_is_the_composition(Shape(r, 6 - r))
+
+
+@pytest.mark.parametrize("block", [1, 7 * 120])
+def test_composition_table_with_a_partial_last_block(fresh_registry, monkeypatch, block):
+    # one upper diagram per block, and blocks of 7 uppers, the last of which
+    # holds the 120th alone
+    monkeypatch.setattr(diagrams_module, "_TABLE_BLOCK_PAIRS", block)
+    assert_table_is_the_composition(Shape(2, 3))
+
+
+def test_composition_table_follows_the_interning_order(fresh_registry):
+    # a few generators, then every diagram in reverse lexicographic order, so
+    # by_idx is far from the order all_diagrams interns; the table must follow
+    # by_idx and leave the composition memo alone
+    shape = Shape(2, 3)
+    first = [s_gen(shape, 1), d_gen(shape), s_pair(shape, 3, 5)]
+    for img in reversed(list(itertools.permutations(range(1, shape.n + 1)))):
+        make_diagram(shape, img)
+    space = _shape_entry(shape)
+    assert space.by_idx[:3] == first
+    assert space.by_idx[3].img == (5, 4, 3, 2, 1)
+    for a in first:
+        for b in space.by_idx[:10]:
+            compose(a, b)
+    memo = dict(space.cache)
+    assert_table_is_the_composition(shape)
+    assert space.cache == memo
+
