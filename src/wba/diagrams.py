@@ -25,21 +25,74 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import IndexOutOfRange, ShapeMismatch
 from .scalars import _cache_put
 
 
-@dataclass(frozen=True)
-class Shape:
-    r: int
-    s: int
+# What the package's plain record classes share.  Each class lists its
+# fields in __slots__, public names first and in constructor order; the
+# constructor of an immutable class sets them with _setattr.
+_setattr = object.__setattr__
 
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0:
-            raise IndexOutOfRange(f"shape ({self.r}, {self.s}) has a negative side")
+
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _stored_hash(self):
+    return self._hash
+
+
+def _fields(obj) -> tuple:
+    return tuple(getattr(obj, name) for name in obj.__slots__ if name[0] != "_")
+
+
+def _slots_eq(self, other):
+    if other.__class__ is self.__class__:
+        return _fields(self) == _fields(other)
+    return NotImplemented
+
+
+def _slots_repr(self):
+    args = ", ".join(
+        f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
+    )
+    return f"{type(self).__name__}({args})"
+
+
+class Shape:
+    """The numbers r and s of sites left and right of the wall; immutable,
+    equal and hashed by value."""
+
+    __slots__ = ("r", "s", "_hash")
+
+    def __init__(self, r: int, s: int):
+        if r < 0 or s < 0:
+            raise IndexOutOfRange(f"shape ({r}, {s}) has a negative side")
+        _setattr(self, "r", r)
+        _setattr(self, "s", s)
+        _setattr(self, "_hash", hash((r, s)))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is Shape:
+            return self.r == other.r and self.s == other.s
+        return NotImplemented
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if other.__class__ is Shape:
+            return self.r != other.r or self.s != other.s
+        return NotImplemented
+
+    __hash__ = _stored_hash
+    __repr__ = _slots_repr
 
     @property
     def n(self) -> int:
@@ -62,11 +115,8 @@ class WalledDiagram:
 
     __slots__ = ("shape", "img", "idx", "_hash", "_mt", "_mb")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WalledDiagram is immutable")
-
-    def __hash__(self):
-        return self._hash
+    __setattr__ = __delattr__ = _immutable
+    __hash__ = _stored_hash
 
     def __repr__(self):
         return f"WalledDiagram({self.shape.r},{self.shape.s},{list(self.img)})"
@@ -162,13 +212,6 @@ def s_gen(shape: Shape, i: int) -> WalledDiagram:
     return _transposition(shape, i, i + 1)
 
 
-def d_gen(shape: Shape) -> WalledDiagram:
-    """The contraction d joining columns r and r+1 across the wall."""
-    if shape.r < 1 or shape.s < 1:
-        raise IndexOutOfRange("d needs at least one column on each side of the wall")
-    return _transposition(shape, shape.r, shape.r + 1)
-
-
 def s_pair(shape: Shape, i: int, k: int) -> WalledDiagram:
     """The long crossing s_{i,k} of same-side columns i < k."""
     r, n = shape.r, shape.n
@@ -185,10 +228,23 @@ def d_pair(shape: Shape, i: int, k: int) -> WalledDiagram:
     return _transposition(shape, i, k)
 
 
-@dataclass(frozen=True)
 class CompositionResult:
-    diagram: WalledDiagram
-    loops: int
+    """A composed diagram and the closed loops the composition left;
+    immutable.  compose builds one per call and nothing hashes one on a hot
+    path, so the hash is computed on demand."""
+
+    __slots__ = ("diagram", "loops")
+
+    def __init__(self, diagram: WalledDiagram, loops: int):
+        _setattr(self, "diagram", diagram)
+        _setattr(self, "loops", loops)
+
+    __setattr__ = __delattr__ = _immutable
+    __eq__ = _slots_eq
+    __repr__ = _slots_repr
+
+    def __hash__(self):
+        return hash((self.diagram, self.loops))
 
 
 def compose(upper: WalledDiagram, lower: WalledDiagram) -> CompositionResult:

@@ -21,12 +21,11 @@ prefactor, and admits a mirrored variant obtained by reversing every block.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
 from .algebra import AlgebraElement
-from .diagrams import Shape, d_pair, epsilon, identity, s_pair
+from .diagrams import Shape, _slots_eq, _slots_repr, d_pair, epsilon, identity, s_pair
 from .errors import (
     CancellationFailure,
     DivisionByZero,
@@ -215,11 +214,6 @@ def fuse_contents(shape: Shape, contents, upto=None) -> AlgebraElement:
     return e
 
 
-def sym_group_idempotent(t: WalledTableau) -> AlgebraElement:
-    """The idempotent of the symmetric-group stage (first r steps)."""
-    return fuse_contents(t.shape, t.contents(), t.shape.r)
-
-
 def fusion_idempotent(t: WalledTableau) -> AlgebraElement:
     """The primitive idempotent of the path t by the first fusion procedure."""
     return fuse_contents(t.shape, t.contents())
@@ -227,28 +221,39 @@ def fusion_idempotent(t: WalledTableau) -> AlgebraElement:
 
 # Minimal prefactor: only the factors (u - c_k)^{p_k} dictated by the exponents.
 
-@dataclass
 class MinimalStep:
-    k: int
-    exponent: int
-    pole_order: int
+    """One step of a minimal-prefactor run: its exponent and pole order."""
+
+    __slots__ = ("k", "exponent", "pole_order")
+
+    def __init__(self, k: int, exponent: int, pole_order: int):
+        self.k = k
+        self.exponent = exponent
+        self.pole_order = pole_order
+
+    __eq__ = _slots_eq
+    __repr__ = _slots_repr
 
 
-@dataclass
 class MinimalDiagnostics:
-    steps: list = field(default_factory=list)
-    result_is_zero: bool = False
-    leftover_value: DeltaScalar = ONE
-    matches_idempotent: bool = False
+    """What a minimal-prefactor run found; see fusion_with_minimal_prefactor."""
 
+    __slots__ = ("steps", "result_is_zero", "leftover_value", "matches_idempotent")
 
-def minimal_prefactor(t: WalledTableau) -> tuple:
-    """The (k, c_k, p_k) data of the minimal prefactor, after-wall steps only."""
-    contents = t.contents()
-    p = exponents(t)
-    return tuple(
-        (k, contents[k - 1], p[k - 1]) for k in range(t.shape.r + 1, t.shape.n + 1)
-    )
+    def __init__(
+        self,
+        steps: list | None = None,
+        result_is_zero: bool = False,
+        leftover_value: DeltaScalar = ONE,
+        matches_idempotent: bool = False,
+    ):
+        self.steps = [] if steps is None else steps
+        self.result_is_zero = result_is_zero
+        self.leftover_value = leftover_value
+        self.matches_idempotent = matches_idempotent
+
+    __eq__ = _slots_eq
+    __repr__ = _slots_repr
 
 
 def _minimal_step_prefactor(c, p: int) -> tuple:

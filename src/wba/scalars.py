@@ -394,10 +394,12 @@ def _den_lcm(a: Poly, b: Poly) -> Poly:
 def scalar_linear_combination(items) -> DeltaScalar:
     """Exact sum of (value, integer multiplicity) pairs.
 
-    Accumulates numerators over the lcm of the denominators with plain
-    polynomial arithmetic, so the expensive gcd canonicalization runs once for
-    the whole sum instead of once per addition.  This is the workhorse of the
-    large orthogonality sweeps.
+    Sums the numerators of each distinct denominator, then accumulates those
+    sums over the lcm of the distinct denominators with plain polynomial
+    arithmetic, so the expensive gcd canonicalization runs once for the whole
+    sum instead of once per addition, and each lcm step and rescale factor
+    once per distinct denominator.  This is the workhorse of the large
+    orthogonality sweeps.
     """
     items = [(c, k) for c, k in items if k and c.num]
     if not items:
@@ -405,15 +407,18 @@ def scalar_linear_combination(items) -> DeltaScalar:
     if len(items) == 1:
         c, k = items[0]
         return c if k == 1 else c * k
-    den = items[0][0].den
-    for c, _ in items[1:]:
-        den = _den_lcm(den, c.den)
-    acc: Poly = ()
+    sums: dict = {}
     for c, k in items:
-        num = rescaled_numerator(c, den)
-        if k != 1:
-            num = pscale(num, k)
-        acc = padd(acc, num)
+        num = c.num if k == 1 else pscale(c.num, k)
+        prev = sums.get(c.den)
+        sums[c.den] = num if prev is None else padd(prev, num)
+    dens = iter(sums)
+    den = next(dens)
+    for other in dens:
+        den = _den_lcm(den, other)
+    acc: Poly = ()
+    for other, num in sums.items():
+        acc = padd(acc, num if other == den else pmul(num, pexquo(den, other)))
     return DeltaScalar.make(acc, den)
 
 

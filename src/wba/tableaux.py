@@ -16,27 +16,40 @@ to avoid sign bugs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .diagrams import Shape
+from .diagrams import Shape, _immutable, _setattr, _slots_eq, _slots_repr, _stored_hash
 from .errors import IllegalMove, IndexOutOfRange, ParseError
 from .scalars import DeltaScalar, affine, scalar_str
 
 
-@dataclass(frozen=True)
 class Partition:
-    parts: tuple = ()
+    """A partition as its weakly decreasing positive parts; immutable, equal
+    and hashed by value."""
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: tuple = ()):
+        parts = tuple(int(p) for p in parts)
         if any(p <= 0 for p in parts):
             raise IndexOutOfRange(f"partition parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise IndexOutOfRange(f"partition parts must be weakly decreasing: {parts}")
+        _setattr(self, "parts", parts)
+        _setattr(self, "_hash", hash((parts,)))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is Partition:
+            return self.parts == other.parts
+        return NotImplemented
+
+    __hash__ = _stored_hash
 
     def cells(self) -> tuple:
         return tuple(
@@ -86,10 +99,27 @@ class Partition:
 EMPTY = Partition(())
 
 
-@dataclass(frozen=True)
 class Bipartition:
-    left: Partition = EMPTY
-    right: Partition = EMPTY
+    """The left and right partitions of a branching-graph vertex; immutable,
+    equal and hashed by value."""
+
+    __slots__ = ("left", "right", "_hash")
+
+    def __init__(self, left: Partition = EMPTY, right: Partition = EMPTY):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+        _setattr(self, "_hash", hash((left, right)))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is Bipartition:
+            return self.left == other.left and self.right == other.right
+        return NotImplemented
+
+    __hash__ = _stored_hash
 
     def __repr__(self):
         return f"Bipartition({list(self.left.parts)}|{list(self.right.parts)})"
@@ -139,27 +169,42 @@ def _advance(state: Bipartition, move: Move) -> Bipartition:
     return Bipartition(state.left.without_cell(cell), state.right)
 
 
-@dataclass(frozen=True)
 class WalledTableau:
-    shape: Shape
-    moves: tuple
-    steps: tuple = field(init=False, compare=False, repr=False)
+    """A path of moves in the branching graph, validated on construction;
+    steps holds the bipartition after each move, starting from the empty one.
+    Immutable, equal and hashed by shape and moves."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(self.moves))
-        r, n = self.shape.r, self.shape.n
+    __slots__ = ("shape", "moves", "steps", "_hash")
+
+    def __init__(self, shape: Shape, moves: tuple):
+        moves = tuple(moves)
+        r, n = shape.r, shape.n
         state = Bipartition()
         steps = [state]
-        for t, move in enumerate(self.moves[:n], 1):
+        for t, move in enumerate(moves[:n], 1):
             legal = _legal_moves(state, t, r)
             if move not in legal:
                 allowed = ", ".join(str(m) for m in legal)
                 raise IllegalMove(t, f"{move} is not a legal move here (legal: {allowed})")
             state = _advance(state, move)
             steps.append(state)
-        if len(self.moves) != n:
-            raise IllegalMove(min(len(self.moves), n) + 1, f"path length must be {n}")
-        object.__setattr__(self, "steps", tuple(steps))
+        if len(moves) != n:
+            raise IllegalMove(min(len(moves), n) + 1, f"path length must be {n}")
+        _setattr(self, "shape", shape)
+        _setattr(self, "moves", moves)
+        _setattr(self, "steps", tuple(steps))
+        _setattr(self, "_hash", hash((shape, moves)))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is WalledTableau:
+            return self.shape == other.shape and self.moves == other.moves
+        return NotImplemented
+
+    __hash__ = _stored_hash
 
     @property
     def final(self) -> Bipartition:
@@ -254,9 +299,9 @@ def tableau_from_contents(shape: Shape, contents: Iterable[DeltaScalar]) -> Wall
     return WalledTableau(shape, tuple(moves))
 
 
-@dataclass(frozen=True)
 class TripleTableau:
-    """The triple diagram of a path with its standard fillings.
+    """The triple diagram of a path with its standard fillings; immutable,
+    equal and hashed by value.
 
     lambda_prime is the left diagram when the wall is reached, nu the final
     left diagram, lambda_second the final right diagram.  fill_prime numbers
@@ -265,12 +310,29 @@ class TripleTableau:
     order of the after-wall steps (r+1..n).
     """
 
-    lambda_prime: Partition
-    nu: Partition
-    lambda_second: Partition
-    fill_prime: tuple
-    removed_fill: tuple
-    right_fill: tuple
+    __slots__ = (
+        "lambda_prime", "nu", "lambda_second", "fill_prime", "removed_fill", "right_fill",
+        "_hash",
+    )
+
+    def __init__(
+        self,
+        lambda_prime: Partition,
+        nu: Partition,
+        lambda_second: Partition,
+        fill_prime: tuple,
+        removed_fill: tuple,
+        right_fill: tuple,
+    ):
+        values = (lambda_prime, nu, lambda_second, fill_prime, removed_fill, right_fill)
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+        _setattr(self, "_hash", hash(values))
+
+    __setattr__ = __delattr__ = _immutable
+    __eq__ = _slots_eq
+    __repr__ = _slots_repr
+    __hash__ = _stored_hash
 
 
 def triple_tableau(t: WalledTableau) -> TripleTableau:
@@ -364,11 +426,19 @@ def is_semisimple(r: int, s: int, delta) -> bool:
     return dz == 0 and (r, s) in {(1, 2), (1, 3), (2, 1), (3, 1)}
 
 
-@dataclass
 class BratteliGraph:
-    shape: Shape
-    levels: list  # levels[t] = list of Bipartition
-    edges: list  # edges[t] = list of (from_idx, to_idx, Move)
+    """The branching graph of a shape: levels[t] lists the bipartitions at
+    level t, edges[t] the (from index, to index, Move) from level t."""
+
+    __slots__ = ("shape", "levels", "edges")
+
+    def __init__(self, shape: Shape, levels: list, edges: list):
+        self.shape = shape
+        self.levels = levels
+        self.edges = edges
+
+    __eq__ = _slots_eq
+    __repr__ = _slots_repr
 
     def path_count(self) -> int:
         counts = [1] * len(self.levels[0])
@@ -378,9 +448,6 @@ class BratteliGraph:
                 nxt[j] += counts[i]
             counts = nxt
         return sum(counts)
-
-    def node_count(self) -> int:
-        return sum(len(level) for level in self.levels)
 
     def to_json(self) -> dict:
         return {

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 
 from .algebra import _DENSE_PAIR_THRESHOLD, AlgebraElement, iota, jm_element
-from .diagrams import Shape, composition_table
+from .diagrams import Shape, _slots_eq, _slots_repr, composition_table
 from .errors import CancellationFailure, ZeroDenominator
 from .fusion import (
     DEFAULT_H,
@@ -69,15 +68,35 @@ def interp_idempotent(t: WalledTableau) -> AlgebraElement:
     return e
 
 
-@dataclass
 class TableauCert:
-    moves: str
-    idempotent: bool
-    jm_spectrum: bool
-    iota_fixed: bool
-    interp_agrees: bool | None = None
-    second_fwd_agrees: bool | None = None
-    second_mirror_agrees: bool | None = None
+    """The certificate of one tableau's idempotent; the agreement fields are
+    None for a check that was not run."""
+
+    __slots__ = (
+        "moves", "idempotent", "jm_spectrum", "iota_fixed",
+        "interp_agrees", "second_fwd_agrees", "second_mirror_agrees",
+    )
+
+    def __init__(
+        self,
+        moves: str,
+        idempotent: bool,
+        jm_spectrum: bool,
+        iota_fixed: bool,
+        interp_agrees: bool | None = None,
+        second_fwd_agrees: bool | None = None,
+        second_mirror_agrees: bool | None = None,
+    ):
+        self.moves = moves
+        self.idempotent = idempotent
+        self.jm_spectrum = jm_spectrum
+        self.iota_fixed = iota_fixed
+        self.interp_agrees = interp_agrees
+        self.second_fwd_agrees = second_fwd_agrees
+        self.second_mirror_agrees = second_mirror_agrees
+
+    __eq__ = _slots_eq
+    __repr__ = _slots_repr
 
     @property
     def second_agrees(self) -> bool | None:
@@ -93,21 +112,49 @@ class TableauCert:
         return all(checks)
 
 
-@dataclass
 class CertReport:
-    r: int
-    s: int
-    tableaux: list = field(default_factory=list)
-    orthogonal: bool = True
-    orthogonality_pairs: int = 0
-    orthogonality_failures: list = field(default_factory=list)
-    completeness_ok: bool = True
-    completeness_residual_terms: int = 0
-    spectra_distinct: bool = True
-    identities: dict | None = None
-    lemmas: dict | None = None
-    exponent_runs: dict | None = None
-    timings: dict = field(default_factory=dict)
+    """The certification report of a shape; a section left None did not run."""
+
+    __slots__ = (
+        "r", "s", "tableaux", "orthogonal", "orthogonality_pairs",
+        "orthogonality_failures", "completeness_ok", "completeness_residual_terms",
+        "spectra_distinct", "identities", "lemmas", "exponent_runs", "timings",
+    )
+
+    def __init__(
+        self,
+        r: int,
+        s: int,
+        tableaux: list | None = None,
+        orthogonal: bool = True,
+        orthogonality_pairs: int = 0,
+        orthogonality_failures: list | None = None,
+        completeness_ok: bool = True,
+        completeness_residual_terms: int = 0,
+        spectra_distinct: bool = True,
+        identities: dict | None = None,
+        lemmas: dict | None = None,
+        exponent_runs: dict | None = None,
+        timings: dict | None = None,
+    ):
+        self.r = r
+        self.s = s
+        self.tableaux = [] if tableaux is None else tableaux
+        self.orthogonal = orthogonal
+        self.orthogonality_pairs = orthogonality_pairs
+        self.orthogonality_failures = (
+            [] if orthogonality_failures is None else orthogonality_failures
+        )
+        self.completeness_ok = completeness_ok
+        self.completeness_residual_terms = completeness_residual_terms
+        self.spectra_distinct = spectra_distinct
+        self.identities = identities
+        self.lemmas = lemmas
+        self.exponent_runs = exponent_runs
+        self.timings = {} if timings is None else timings
+
+    __eq__ = _slots_eq
+    __repr__ = _slots_repr
 
     @property
     def ok(self) -> bool:

@@ -1,13 +1,19 @@
-"""Algebra helpers that only the tests use: the embedding of a smaller shape,
-the generators of the tower's subalgebras, the commutator, and a check of
-the algebra's defining relations on its generators."""
+"""Algebra helpers that only the tests use: the contraction generator d, the
+embedding of a smaller shape, the generators of the tower's subalgebras, the
+commutator, and a check of the algebra's defining relations on its
+generators."""
 
 from __future__ import annotations
 
 from wba.algebra import AlgebraElement
-from wba.diagrams import Shape, d_pair, make_diagram, s_gen
+from wba.diagrams import Shape, WalledDiagram, d_pair, make_diagram, s_gen
 from wba.errors import IndexOutOfRange, ShapeMismatch
 from wba.scalars import DELTA
+
+
+def d_gen(shape: Shape) -> WalledDiagram:
+    """The contraction d joining columns r and r+1 across the wall."""
+    return d_pair(shape, shape.r, shape.r + 1)
 
 
 def embed(a: AlgebraElement, shape: Shape) -> AlgebraElement:
@@ -29,7 +35,7 @@ def subalgebra_generators(shape: Shape, k: int) -> list:
         if i != r:
             gens.append(AlgebraElement.from_diagram(s_gen(shape, i)))
     if k >= r + 1 and r >= 1 and shape.s >= 1:
-        gens.append(AlgebraElement.from_diagram(d_pair(shape, r, r + 1)))
+        gens.append(AlgebraElement.from_diagram(d_gen(shape)))
     return gens
 
 
@@ -55,7 +61,7 @@ def defining_relations_hold(shape: Shape) -> dict:
         for i in range(1, n)
         if i != r
     }
-    d = elem(d_pair(shape, r, r + 1))
+    d = elem(d_gen(shape))
     results = {}
     results["s_squared"] = all(s[i] * s[i] == one for i in s)
     results["d_squared"] = (d * d) == d.scale(DELTA)

@@ -11,10 +11,10 @@ from wba.algebra import (
     iota,
     jm_element,
 )
-from wba.diagrams import Shape, d_gen, d_pair, make_diagram, s_gen, vertical_flip
+from wba.diagrams import Shape, d_pair, make_diagram, s_gen, vertical_flip
 from wba.errors import ParseError, ShapeMismatch
 from wba.scalars import DELTA, ONE, DeltaScalar
-from algebra_helpers import commutator, defining_relations_hold, embed, subalgebra_generators
+from algebra_helpers import commutator, d_gen, defining_relations_hold, embed, subalgebra_generators
 
 S11 = Shape(1, 1)
 S22 = Shape(2, 2)

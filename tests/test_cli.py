@@ -9,11 +9,12 @@ import pytest
 
 from wba.algebra import element_from_json
 from wba.cli import main
-from wba.diagrams import Shape, d_gen, s_gen
+from wba.diagrams import Shape, s_gen
 from wba.algebra import AlgebraElement
 from wba.scalars import DELTA
 from wba.fusion import fusion_idempotent
 from wba.tableaux import enumerate_tableaux, parse_tableau
+from algebra_helpers import d_gen
 
 GOLDEN_SPEC = "L+1,1;L+2,1;L-2,1;L-1,1"
 EMPTY_11 = {"r": 1, "s": 1, "terms": []}
@@ -367,6 +368,19 @@ def test_mul_stdin(capsys, monkeypatch):
     code, out = run(capsys, "mul")
     assert code == 0
     assert element_from_json(json.loads(out)) == d.scale(DELTA)
+
+
+def test_mul_of_mismatched_shapes_is_a_usage_error(capsys, monkeypatch):
+    from wba.algebra import element_to_json
+
+    a, b = (element_to_json(AlgebraElement.one(Shape(r, 1))) for r in (1, 2))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([a, b])))
+    code, out = run(capsys, "mul", "-")
+    assert code == 2
+    assert out == (
+        '{\n  "error": {\n    "type": "ShapeMismatch",\n'
+        '    "message": "shapes Shape(r=1, s=1) and Shape(r=2, s=1) differ"\n  }\n}\n'
+    )
 
 
 def test_mul_refuses_too_many_term_pairs_promptly(capsys, monkeypatch):

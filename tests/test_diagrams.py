@@ -14,7 +14,6 @@ from wba.diagrams import (
     all_diagrams,
     compose,
     composition_table,
-    d_gen,
     d_pair,
     epsilon,
     identity,
@@ -24,6 +23,7 @@ from wba.diagrams import (
     vertical_flip,
 )
 from wba.errors import IndexOutOfRange, ShapeMismatch
+from algebra_helpers import d_gen
 
 S11 = Shape(1, 1)
 S22 = Shape(2, 2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wba.algebra import AlgebraElement, iota, jm_element
-from wba.diagrams import Shape, d_gen, s_gen
+from wba.diagrams import Shape, s_gen
 from wba.errors import (
     CancellationFailure,
     DivisionByZero,
@@ -17,21 +17,21 @@ from wba.fusion import (
     _evaluate_step_info,
     _linear_factors,
     _step_factors,
+    fuse_contents,
     fusion_idempotent,
     fusion_with_minimal_prefactor,
     h_is_generic,
     idempotent_by,
     identity_checks,
-    minimal_prefactor,
     psi_full_numeric,
     psi_step_numeric,
     second_fusion_idempotent,
     step_prefactor,
-    sym_group_idempotent,
 )
 from wba.scalars import DELTA, ONE, ZERO, affine
 from wba.tableaux import enumerate_tableaux, exponents, parse_tableau
 from wba.upoly import UniPoly
+from algebra_helpers import d_gen
 from symbolic_oracle import _root_poly, baxter_factor, step_function
 
 S11 = Shape(1, 1)
@@ -46,6 +46,18 @@ def one(shape):
 
 def elem(d):
     return AlgebraElement.from_diagram(d)
+
+
+def sym_group_idempotent(t):
+    """The idempotent of the symmetric-group stage (first r steps)."""
+    return fuse_contents(t.shape, t.contents(), t.shape.r)
+
+
+def minimal_prefactor(t):
+    """The (k, c_k, p_k) data of the minimal prefactor, after-wall steps only."""
+    contents = t.contents()
+    p = exponents(t)
+    return tuple((k, contents[k - 1], p[k - 1]) for k in range(t.shape.r + 1, t.shape.n + 1))
 
 
 def golden_element():

@@ -3,18 +3,20 @@
 `fraction_scalars` is the old kernel: long division over Q and a monic
 denominator.  On random rational numerators and denominators up to degree 5,
 canonicalization, the field operations and the text form must agree with it,
-and every scalar the kernel interns must be in canonical form.
+and every scalar the kernel interns must be in canonical form.  The linear
+combinations of the product's sparse path must agree with repeated memoized
+addition.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_scalars as oracle
 import wba.scalars as scalars
-from wba.scalars import DeltaScalar, pgcd, scalar_str
+from wba.scalars import ZERO, DeltaScalar, pgcd, scalar_linear_combination, scalar_str
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.lists(coeffs, min_size=0, max_size=6).map(tuple)
@@ -79,6 +81,52 @@ def test_gcd_agrees(a, b, common):
     a, b = oracle.pmul(a, common), oracle.pmul(b, common)
     # the primitive gcd is the monic one scaled to integer coefficients
     assert pgcd(ints(a), ints(b)) == ints(oracle.pgcd(a, b))
+
+
+int_polys = st.lists(st.integers(-6, 6), max_size=4).map(tuple)
+denominators = st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any).map(tuple)
+
+
+@st.composite
+def combinations(draw):
+    """(items, cancels): (scalar, multiplicity) pairs whose denominators come
+    from a pool of at most three, so that many repeat; cancels when the items
+    end with the negation of every earlier one."""
+    pool = draw(st.lists(denominators, min_size=1, max_size=3))
+    drawn = draw(
+        st.lists(st.tuples(int_polys, st.sampled_from(pool), st.integers(-3, 3)), max_size=10)
+    )
+    items = [(DeltaScalar.make(num, den), k) for num, den, k in drawn]
+    cancels = draw(st.booleans())
+    if cancels:
+        items += [(c, -k) for c, k in items]
+    return items, cancels
+
+
+def repeated_sum(items) -> DeltaScalar:
+    out = ZERO
+    for c, k in items:
+        for _ in range(abs(k)):
+            out = out + c if k > 0 else out - c
+    return out
+
+
+D = DeltaScalar.make
+
+
+@settings(max_examples=300, deadline=None)
+@given(combinations())
+@example(([(D((1,), (0, 1)), 1), (D((2,), (0, 1)), 0), (D((1, 1), (-1, 1)), -2),
+           (D((3,), (0, 1)), 1), (D((1,), (-1, 1)), 2)], False))
+@example(([(D((1,), (0, 2)), 2), (D((1,), (1, 1)), -1), (D((1,), (0, 2)), -2),
+           (D((1,), (1, 1)), 1)], True))
+def test_linear_combination_agrees_with_repeated_addition(case):
+    items, cancels = case
+    got = scalar_linear_combination(items)
+    assert got is repeated_sum(items)
+    assert_canonical(got)
+    if cancels:
+        assert got is ZERO
 
 
 def test_every_interned_scalar_is_canonical():

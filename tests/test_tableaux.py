@@ -260,7 +260,7 @@ def test_is_semisimple():
 def test_bratteli_22():
     g = bratteli(S22)
     assert [len(level) for level in g.levels] == [1, 1, 2, 3, 6]
-    assert g.node_count() == 13
+    assert sum(len(level) for level in g.levels) == 13
     assert g.path_count() == 10
 
 
@@ -288,7 +288,8 @@ def test_bratteli_exports_agree():
     dot = g.to_dot()
     js = g.to_json()
     assert dot.count("->") == len(js["edges"])
-    assert dot.count("[label=") == g.node_count() + len(js["edges"])
+    nodes = sum(len(level) for level in js["levels"])
+    assert dot.count("[label=") == nodes + len(js["edges"])
     for t, level in enumerate(js["levels"]):
         for i in range(len(level)):
             assert f"n{t}_{i} " in dot

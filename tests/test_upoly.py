@@ -49,7 +49,8 @@ def test_eval_examples():
 def test_algebra_coefficient_evaluation():
     # evaluation with algebra coefficients is E0 + c*E1
     from wba.algebra import AlgebraElement
-    from wba.diagrams import Shape, d_gen
+    from wba.diagrams import Shape
+    from algebra_helpers import d_gen
 
     shape = Shape(1, 1)
     e0 = AlgebraElement.one(shape)

@@ -5,7 +5,7 @@ import pytest
 
 import wba.verify as verify
 from wba.algebra import AlgebraElement, sorted_terms
-from wba.diagrams import Shape, d_gen
+from wba.diagrams import Shape
 from wba.fusion import fuse_contents, fusion_idempotent
 from wba.scalars import DELTA, ONE, affine
 from wba.tableaux import enumerate_tableaux, parse_tableau
@@ -20,7 +20,7 @@ from wba.verify import (
     full_report,
     interp_idempotent,
 )
-from algebra_helpers import embed
+from algebra_helpers import d_gen, embed
 
 S11 = Shape(1, 1)
 S22 = Shape(2, 2)
