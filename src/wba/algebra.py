@@ -29,6 +29,7 @@ from .scalars import (
     DELTA,
     ONE,
     DeltaScalar,
+    _coerce,
     _den_lcm,
     padd,
     parse_scalar,
@@ -139,9 +140,12 @@ class AlgebraElement:
 
 
 def _scalar(c) -> DeltaScalar:
-    if isinstance(c, DeltaScalar):
-        return c
-    return DeltaScalar.from_fraction(c)
+    """An int, a Fraction or a DeltaScalar as a DeltaScalar; a float or a
+    string is refused, so no floating point enters an element."""
+    scalar = _coerce(c)
+    if scalar is NotImplemented:
+        raise TypeError(f"cannot scale by {type(c).__name__} {c!r}")
+    return scalar
 
 
 # Product route.  Once a shape's composition table is built, a product of at

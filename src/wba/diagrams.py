@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import IndexOutOfRange, ShapeMismatch
 from .scalars import _cache_put
 
 
-# What the package's plain record classes share.  Each class lists its
-# fields in __slots__, public names first and in constructor order; the
-# constructor of an immutable class sets them with _setattr.
+# What the package's hand-written value classes share.  Each lists its
+# fields in __slots__; the constructor of an immutable class sets them with
+# _setattr.
 _setattr = object.__setattr__
 
 
@@ -43,23 +43,6 @@ def _immutable(self, *args):
 
 def _stored_hash(self):
     return self._hash
-
-
-def _fields(obj) -> tuple:
-    return tuple(getattr(obj, name) for name in obj.__slots__ if name[0] != "_")
-
-
-def _slots_eq(self, other):
-    if other.__class__ is self.__class__:
-        return _fields(self) == _fields(other)
-    return NotImplemented
-
-
-def _slots_repr(self):
-    args = ", ".join(
-        f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
-    )
-    return f"{type(self).__name__}({args})"
 
 
 class Shape:
@@ -92,7 +75,9 @@ class Shape:
         return NotImplemented
 
     __hash__ = _stored_hash
-    __repr__ = _slots_repr
+
+    def __repr__(self):
+        return f"Shape(r={self.r!r}, s={self.s!r})"
 
     @property
     def n(self) -> int:
@@ -204,14 +189,6 @@ def _transposition(shape: Shape, i: int, k: int) -> WalledDiagram:
     return make_diagram(shape, img)
 
 
-def s_gen(shape: Shape, i: int) -> WalledDiagram:
-    """The crossing s_i of adjacent same-side columns i, i+1."""
-    r, n = shape.r, shape.n
-    if not (1 <= i < r or r < i < n):
-        raise IndexOutOfRange(f"s_{i} does not exist in shape ({r},{shape.s})")
-    return _transposition(shape, i, i + 1)
-
-
 def s_pair(shape: Shape, i: int, k: int) -> WalledDiagram:
     """The long crossing s_{i,k} of same-side columns i < k."""
     r, n = shape.r, shape.n
@@ -228,23 +205,11 @@ def d_pair(shape: Shape, i: int, k: int) -> WalledDiagram:
     return _transposition(shape, i, k)
 
 
-class CompositionResult:
-    """A composed diagram and the closed loops the composition left;
-    immutable.  compose builds one per call and nothing hashes one on a hot
-    path, so the hash is computed on demand."""
+class CompositionResult(NamedTuple):
+    """A composed diagram and the closed loops the composition left."""
 
-    __slots__ = ("diagram", "loops")
-
-    def __init__(self, diagram: WalledDiagram, loops: int):
-        _setattr(self, "diagram", diagram)
-        _setattr(self, "loops", loops)
-
-    __setattr__ = __delattr__ = _immutable
-    __eq__ = _slots_eq
-    __repr__ = _slots_repr
-
-    def __hash__(self):
-        return hash((self.diagram, self.loops))
+    diagram: WalledDiagram
+    loops: int
 
 
 def compose(upper: WalledDiagram, lower: WalledDiagram) -> CompositionResult:

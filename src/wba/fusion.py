@@ -23,9 +23,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .algebra import AlgebraElement
-from .diagrams import Shape, _slots_eq, _slots_repr, d_pair, epsilon, identity, s_pair
+from .diagrams import Shape, d_pair, epsilon, identity, s_pair
 from .errors import (
     CancellationFailure,
     DivisionByZero,
@@ -221,39 +222,21 @@ def fusion_idempotent(t: WalledTableau) -> AlgebraElement:
 
 # Minimal prefactor: only the factors (u - c_k)^{p_k} dictated by the exponents.
 
-class MinimalStep:
+class MinimalStep(NamedTuple):
     """One step of a minimal-prefactor run: its exponent and pole order."""
 
-    __slots__ = ("k", "exponent", "pole_order")
-
-    def __init__(self, k: int, exponent: int, pole_order: int):
-        self.k = k
-        self.exponent = exponent
-        self.pole_order = pole_order
-
-    __eq__ = _slots_eq
-    __repr__ = _slots_repr
+    k: int
+    exponent: int
+    pole_order: int
 
 
-class MinimalDiagnostics:
+class MinimalDiagnostics(NamedTuple):
     """What a minimal-prefactor run found; see fusion_with_minimal_prefactor."""
 
-    __slots__ = ("steps", "result_is_zero", "leftover_value", "matches_idempotent")
-
-    def __init__(
-        self,
-        steps: list | None = None,
-        result_is_zero: bool = False,
-        leftover_value: DeltaScalar = ONE,
-        matches_idempotent: bool = False,
-    ):
-        self.steps = [] if steps is None else steps
-        self.result_is_zero = result_is_zero
-        self.leftover_value = leftover_value
-        self.matches_idempotent = matches_idempotent
-
-    __eq__ = _slots_eq
-    __repr__ = _slots_repr
+    steps: tuple
+    result_is_zero: bool
+    leftover_value: DeltaScalar
+    matches_idempotent: bool
 
 
 def _minimal_step_prefactor(c, p: int) -> tuple:
@@ -293,19 +276,18 @@ def fusion_with_minimal_prefactor(t: WalledTableau, override_exponents=None, ref
     if override_exponents:
         for k, pk in override_exponents.items():
             p[k - 1] = pk
-    diag = MinimalDiagnostics()
+    steps = []
     e = AlgebraElement.one(shape)
     for k in range(2, n + 1):
         pk = p[k - 1] if k > r else 0
         z = _minimal_step_prefactor(contents[k - 1], pk)
         e, m = _evaluate_step_info(e, _step_factors(shape, contents, k), k, z, contents[k - 1])
-        diag.steps.append(MinimalStep(k, pk, m))
-    diag.result_is_zero = e.is_zero
-    diag.leftover_value = leftover_prefactor_value(shape, contents, p)
+        steps.append(MinimalStep(k, pk, m))
+    leftover = leftover_prefactor_value(shape, contents, p)
     if reference is None:
         reference = fusion_idempotent(t)
-    diag.matches_idempotent = e.scale(diag.leftover_value) == reference
-    return e, diag
+    matches = e.scale(leftover) == reference
+    return e, MinimalDiagnostics(tuple(steps), e.is_zero, leftover, matches)
 
 
 # Second fusion procedure.

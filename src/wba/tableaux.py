@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .diagrams import Shape, _immutable, _setattr, _slots_eq, _slots_repr, _stored_hash
+from .diagrams import Shape, _immutable, _setattr, _stored_hash
 from .errors import IllegalMove, IndexOutOfRange, ParseError
 from .scalars import DeltaScalar, affine, scalar_str
 
@@ -299,9 +299,8 @@ def tableau_from_contents(shape: Shape, contents: Iterable[DeltaScalar]) -> Wall
     return WalledTableau(shape, tuple(moves))
 
 
-class TripleTableau:
-    """The triple diagram of a path with its standard fillings; immutable,
-    equal and hashed by value.
+class TripleTableau(NamedTuple):
+    """The triple diagram of a path with its standard fillings.
 
     lambda_prime is the left diagram when the wall is reached, nu the final
     left diagram, lambda_second the final right diagram.  fill_prime numbers
@@ -310,29 +309,12 @@ class TripleTableau:
     order of the after-wall steps (r+1..n).
     """
 
-    __slots__ = (
-        "lambda_prime", "nu", "lambda_second", "fill_prime", "removed_fill", "right_fill",
-        "_hash",
-    )
-
-    def __init__(
-        self,
-        lambda_prime: Partition,
-        nu: Partition,
-        lambda_second: Partition,
-        fill_prime: tuple,
-        removed_fill: tuple,
-        right_fill: tuple,
-    ):
-        values = (lambda_prime, nu, lambda_second, fill_prime, removed_fill, right_fill)
-        for name, value in zip(self.__slots__, values):
-            _setattr(self, name, value)
-        _setattr(self, "_hash", hash(values))
-
-    __setattr__ = __delattr__ = _immutable
-    __eq__ = _slots_eq
-    __repr__ = _slots_repr
-    __hash__ = _stored_hash
+    lambda_prime: Partition
+    nu: Partition
+    lambda_second: Partition
+    fill_prime: tuple
+    removed_fill: tuple
+    right_fill: tuple
 
 
 def triple_tableau(t: WalledTableau) -> TripleTableau:
@@ -436,9 +418,6 @@ class BratteliGraph:
         self.shape = shape
         self.levels = levels
         self.edges = edges
-
-    __eq__ = _slots_eq
-    __repr__ = _slots_repr
 
     def path_count(self) -> int:
         counts = [1] * len(self.levels[0])

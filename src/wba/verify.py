@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import random
 import time
+from typing import NamedTuple
 
 from .algebra import _DENSE_PAIR_THRESHOLD, AlgebraElement, iota, jm_element
-from .diagrams import Shape, _slots_eq, _slots_repr, composition_table
+from .diagrams import Shape, composition_table
 from .errors import CancellationFailure, ZeroDenominator
 from .fusion import (
     DEFAULT_H,
@@ -68,35 +69,17 @@ def interp_idempotent(t: WalledTableau) -> AlgebraElement:
     return e
 
 
-class TableauCert:
+class TableauCert(NamedTuple):
     """The certificate of one tableau's idempotent; the agreement fields are
     None for a check that was not run."""
 
-    __slots__ = (
-        "moves", "idempotent", "jm_spectrum", "iota_fixed",
-        "interp_agrees", "second_fwd_agrees", "second_mirror_agrees",
-    )
-
-    def __init__(
-        self,
-        moves: str,
-        idempotent: bool,
-        jm_spectrum: bool,
-        iota_fixed: bool,
-        interp_agrees: bool | None = None,
-        second_fwd_agrees: bool | None = None,
-        second_mirror_agrees: bool | None = None,
-    ):
-        self.moves = moves
-        self.idempotent = idempotent
-        self.jm_spectrum = jm_spectrum
-        self.iota_fixed = iota_fixed
-        self.interp_agrees = interp_agrees
-        self.second_fwd_agrees = second_fwd_agrees
-        self.second_mirror_agrees = second_mirror_agrees
-
-    __eq__ = _slots_eq
-    __repr__ = _slots_repr
+    moves: str
+    idempotent: bool
+    jm_spectrum: bool
+    iota_fixed: bool
+    interp_agrees: bool | None
+    second_fwd_agrees: bool | None
+    second_mirror_agrees: bool | None
 
     @property
     def second_agrees(self) -> bool | None:
@@ -121,40 +104,20 @@ class CertReport:
         "spectra_distinct", "identities", "lemmas", "exponent_runs", "timings",
     )
 
-    def __init__(
-        self,
-        r: int,
-        s: int,
-        tableaux: list | None = None,
-        orthogonal: bool = True,
-        orthogonality_pairs: int = 0,
-        orthogonality_failures: list | None = None,
-        completeness_ok: bool = True,
-        completeness_residual_terms: int = 0,
-        spectra_distinct: bool = True,
-        identities: dict | None = None,
-        lemmas: dict | None = None,
-        exponent_runs: dict | None = None,
-        timings: dict | None = None,
-    ):
+    def __init__(self, r: int, s: int):
         self.r = r
         self.s = s
-        self.tableaux = [] if tableaux is None else tableaux
-        self.orthogonal = orthogonal
-        self.orthogonality_pairs = orthogonality_pairs
-        self.orthogonality_failures = (
-            [] if orthogonality_failures is None else orthogonality_failures
-        )
-        self.completeness_ok = completeness_ok
-        self.completeness_residual_terms = completeness_residual_terms
-        self.spectra_distinct = spectra_distinct
-        self.identities = identities
-        self.lemmas = lemmas
-        self.exponent_runs = exponent_runs
-        self.timings = {} if timings is None else timings
-
-    __eq__ = _slots_eq
-    __repr__ = _slots_repr
+        self.tableaux = []
+        self.orthogonal = True
+        self.orthogonality_pairs = 0
+        self.orthogonality_failures = []
+        self.completeness_ok = True
+        self.completeness_residual_terms = 0
+        self.spectra_distinct = True
+        self.identities = None
+        self.lemmas = None
+        self.exponent_runs = None
+        self.timings = {}
 
     @property
     def ok(self) -> bool:
@@ -215,18 +178,14 @@ def certify_tableau(
         if x * e != scaled or e * x != scaled:
             jm_ok = False
             break
-    cert = TableauCert(
-        moves=t.moves_str(),
-        idempotent=e * e == e,
-        jm_spectrum=jm_ok,
-        iota_fixed=iota(e) == e,
-    )
-    if include_interp:
-        cert.interp_agrees = interp_idempotent(t) == e
+    idempotent = e * e == e
+    iota_fixed = iota(e) == e
+    interp = interp_idempotent(t) == e if include_interp else None
+    fwd = mirror = None
     if include_second:
-        cert.second_fwd_agrees = second_fusion_idempotent(t, h) == e
-        cert.second_mirror_agrees = second_fusion_idempotent(t, h, mirror=True) == e
-    return cert
+        fwd = second_fusion_idempotent(t, h) == e
+        mirror = second_fusion_idempotent(t, h, mirror=True) == e
+    return TableauCert(t.moves_str(), idempotent, jm_ok, iota_fixed, interp, fwd, mirror)
 
 
 def check_system(shape: Shape, include_interp: bool = True, include_second: bool = True) -> CertReport:

@@ -1,4 +1,4 @@
-"""Algebra helpers that only the tests use: the contraction generator d, the
+"""Algebra helpers that only the tests use: the generators s_i and d, the
 embedding of a smaller shape, the generators of the tower's subalgebras, the
 commutator, and a check of the algebra's defining relations on its
 generators."""
@@ -6,9 +6,14 @@ generators."""
 from __future__ import annotations
 
 from wba.algebra import AlgebraElement
-from wba.diagrams import Shape, WalledDiagram, d_pair, make_diagram, s_gen
+from wba.diagrams import Shape, WalledDiagram, d_pair, make_diagram, s_pair
 from wba.errors import IndexOutOfRange, ShapeMismatch
 from wba.scalars import DELTA
+
+
+def s_gen(shape: Shape, i: int) -> WalledDiagram:
+    """The crossing s_i of adjacent same-side columns i, i+1."""
+    return s_pair(shape, i, i + 1)
 
 
 def d_gen(shape: Shape) -> WalledDiagram:

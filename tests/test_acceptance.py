@@ -13,7 +13,7 @@ from wba.algebra import (
     AlgebraElement,
     jm_element,
 )
-from wba.diagrams import Shape, all_diagrams, s_gen
+from wba.diagrams import Shape, all_diagrams
 from wba.errors import CancellationFailure
 from wba.fusion import (
     DEFAULT_H,
@@ -32,7 +32,7 @@ from wba.tableaux import (
     parse_tableau,
 )
 from wba.verify import check_proof_lemmas, check_system, interp_idempotent
-from algebra_helpers import commutator, d_gen, defining_relations_hold, subalgebra_generators
+from algebra_helpers import commutator, d_gen, defining_relations_hold, s_gen, subalgebra_generators
 
 GOLDEN_SPEC = "L+1,1;L+2,1;L-2,1;L-1,1"
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,17 @@ from wba.algebra import (
     iota,
     jm_element,
 )
-from wba.diagrams import Shape, d_pair, make_diagram, s_gen, vertical_flip
+from wba.diagrams import Shape, d_pair, make_diagram, vertical_flip
 from wba.errors import ParseError, ShapeMismatch
 from wba.scalars import DELTA, ONE, DeltaScalar
-from algebra_helpers import commutator, d_gen, defining_relations_hold, embed, subalgebra_generators
+from algebra_helpers import (
+    commutator,
+    d_gen,
+    defining_relations_hold,
+    embed,
+    s_gen,
+    subalgebra_generators,
+)
 
 S11 = Shape(1, 1)
 S22 = Shape(2, 2)
@@ -48,6 +56,37 @@ def test_s1_difference_times_sum_vanishes():
 def test_d_over_delta_is_idempotent():
     e = elem(d_gen(S11)) / DELTA
     assert e * e == e
+
+
+@pytest.mark.parametrize(
+    "c, scalar",
+    [
+        (3, DeltaScalar.from_int(3)),
+        (Fraction(1, 3), DeltaScalar.from_fraction(Fraction(1, 3))),
+        (DELTA, DELTA),
+    ],
+)
+def test_scaling_takes_exact_scalars(c, scalar):
+    d = d_gen(S11)
+    x = AlgebraElement.from_diagram(d, c)
+    assert x.terms == {d: scalar}
+    assert elem(d).scale(c) == elem(d) * c == c * elem(d) == x
+    assert x / c == elem(d)
+
+
+@pytest.mark.parametrize("c", [0.1, "1/3"])
+def test_scaling_refuses_floats_and_strings(c):
+    d = d_gen(S11)
+    x = elem(d)
+    for scale in (
+        lambda: x.scale(c),
+        lambda: AlgebraElement.from_diagram(d, c),
+        lambda: x * c,
+        lambda: c * x,
+        lambda: x / c,
+    ):
+        with pytest.raises(TypeError):
+            scale()
 
 
 def test_jm_examples():

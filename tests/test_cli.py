@@ -9,12 +9,12 @@ import pytest
 
 from wba.algebra import element_from_json
 from wba.cli import main
-from wba.diagrams import Shape, s_gen
+from wba.diagrams import Shape
 from wba.algebra import AlgebraElement
 from wba.scalars import DELTA
 from wba.fusion import fusion_idempotent
 from wba.tableaux import enumerate_tableaux, parse_tableau
-from algebra_helpers import d_gen
+from algebra_helpers import d_gen, s_gen
 
 GOLDEN_SPEC = "L+1,1;L+2,1;L-2,1;L-1,1"
 EMPTY_11 = {"r": 1, "s": 1, "terms": []}
@@ -155,82 +155,124 @@ def test_usage_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,stdin,env",
+    "argv,stdin,env,error",
     [
-        (["mul", "{tmp}/missing.json", "{tmp}/x.json"], None, {}),
-        (["mul"], "not json", {}),
-        (["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--delta-rational", "abc"], None, {}),
-        (["verify", "1", "1", "--suite", "system", "--delta-rational", "1/0"], None, {}),
-        (["verify", "1", "1", "--suite", "yang-baxter"], None, {"WBA_SEED": "x"}),
+        # the first five ids are those pytest gave these rows before the
+        # error field existed, so that the test names stay the same
         pytest.param(
-            ["mul"], json.dumps([{"r": "x", "s": 1, "terms": []}, EMPTY_11]), {},
+            ["mul", "{tmp}/missing.json", "{tmp}/x.json"], None, {}, "ParseError",
+            id="argv0-None-env0",
+        ),
+        pytest.param(["mul"], "not json", {}, "ParseError", id="argv1-not json-env1"),
+        pytest.param(
+            ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--delta-rational", "abc"],
+            None, {}, "ParseError",
+            id="argv2-None-env2",
+        ),
+        pytest.param(
+            ["verify", "1", "1", "--suite", "system", "--delta-rational", "1/0"], None, {},
+            "ParseError",
+            id="argv3-None-env3",
+        ),
+        pytest.param(
+            ["verify", "1", "1", "--suite", "yang-baxter"], None, {"WBA_SEED": "x"}, "ParseError",
+            id="argv4-None-env4",
+        ),
+        pytest.param(
+            ["mul"], json.dumps([{"r": "x", "s": 1, "terms": []}, EMPTY_11]), {}, "ParseError",
             id="mul-non-integer-shape",
         ),
         pytest.param(
             ["mul"],
             json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [1, 2], "coeff": LONG}]}, EMPTY_11]),
-            {},
+            {}, "ParseError",
             id="mul-long-coeff",
         ),
         pytest.param(
             ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
-             "--h", LONG], None, {},
+             "--h", LONG], None, {}, "ParseError",
             id="idempotent-long-h",
         ),
         pytest.param(
-            ["idempotent", "1", "1", "--tableau", "L+1,1;L-1," + LONG], None, {},
+            ["idempotent", "1", "1", "--tableau", "L+1,1;L-1," + LONG], None, {}, "ParseError",
             id="idempotent-long-move",
         ),
         pytest.param(
             ["mul", "-"], json.dumps([{"r": 1.7, "s": True, "terms": []}, EMPTY_11]), {},
+            "ParseError",
             id="mul-float-and-bool-shape",
         ),
         pytest.param(
             ["mul"],
             json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [2, True], "coeff": "1"}]},
                         EMPTY_11]),
-            {},
+            {}, "ParseError",
             id="mul-bool-in-diagram",
         ),
         pytest.param(
             ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
-             "--h", NESTED], None, {},
+             "--h", NESTED], None, {}, "ParseError",
             id="idempotent-nested-h",
         ),
         pytest.param(
             ["mul"],
             json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [1, 2], "coeff": NESTED}]},
                         EMPTY_11]),
-            {},
+            {}, "ParseError",
             id="mul-nested-coeff",
         ),
-        pytest.param(["mul"], "[" * 100_000 + "]" * 100_000, {}, id="mul-nested-json"),
+        pytest.param(
+            ["mul"], "[" * 100_000 + "]" * 100_000, {}, "ParseError", id="mul-nested-json"
+        ),
         pytest.param(
             ["verify", "1", "1", "--suite", "system", "--delta-rational", "d"], None, {},
+            "ParseError",
             id="verify-delta-not-constant",
         ),
         pytest.param(
             ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
-             "--h", ""], None, {},
+             "--h", ""], None, {}, "ParseError",
             id="idempotent-empty-h",
         ),
-        pytest.param(["verify", "1", "1", "--suite", "nope"], None, {}, id="argparse-choice"),
+        pytest.param(
+            ["verify", "1", "1", "--suite", "nope"], None, {}, "ParseError", id="argparse-choice"
+        ),
         # a negative value after a space is read as an option
-        pytest.param(["verify", "1", "1", "--delta-rational", "-3/2"], None, {},
+        pytest.param(["verify", "1", "1", "--delta-rational", "-3/2"], None, {}, "ParseError",
                      id="argparse-negative-value"),
-        pytest.param(["idempotent", "1", "1"], None, {}, id="argparse-missing-tableau"),
-        pytest.param(["jm", "1", "1", "x"], None, {}, id="argparse-non-integer"),
-        pytest.param([], None, {}, id="argparse-no-subcommand"),
+        pytest.param(
+            ["idempotent", "1", "1"], None, {}, "ParseError", id="argparse-missing-tableau"
+        ),
+        pytest.param(["jm", "1", "1", "x"], None, {}, "ParseError", id="argparse-non-integer"),
+        pytest.param([], None, {}, "ParseError", id="argparse-no-subcommand"),
+        pytest.param(["mul", "{tmp}/x.json"], None, {}, "ParseError", id="mul-one-file"),
+        pytest.param(["mul"], '{"a": 1}', {}, "ParseError", id="mul-stdin-not-a-pair"),
+        pytest.param(
+            ["mul"],
+            json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [1, 2], "coeff": "1"}] * 2},
+                        EMPTY_11]),
+            {}, "ParseError",
+            id="mul-duplicate-diagram",
+        ),
+        pytest.param(
+            ["jm", "2", "2", "9"], None, {}, "IndexOutOfRange", id="jm-site-out-of-range"
+        ),
+        pytest.param(
+            ["mul"],
+            json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [1, 1], "coeff": "1"}]}, EMPTY_11]),
+            {}, "IndexOutOfRange",
+            id="mul-diagram-not-a-permutation",
+        ),
     ],
 )
-def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, stdin, env):
+def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, stdin, env, error):
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     code, out = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 2
-    assert json.loads(out)["error"]["type"] == "ParseError"
+    assert json.loads(out)["error"]["type"] == error
 
 
 def test_negative_value_after_equals_sign(capsys):

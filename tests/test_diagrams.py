@@ -18,12 +18,11 @@ from wba.diagrams import (
     epsilon,
     identity,
     make_diagram,
-    s_gen,
     s_pair,
     vertical_flip,
 )
 from wba.errors import IndexOutOfRange, ShapeMismatch
-from algebra_helpers import d_gen
+from algebra_helpers import d_gen, s_gen
 
 S11 = Shape(1, 1)
 S22 = Shape(2, 2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wba.algebra import AlgebraElement, iota, jm_element
-from wba.diagrams import Shape, s_gen
+from wba.diagrams import Shape
 from wba.errors import (
     CancellationFailure,
     DivisionByZero,
@@ -31,7 +31,7 @@ from wba.fusion import (
 from wba.scalars import DELTA, ONE, ZERO, affine
 from wba.tableaux import enumerate_tableaux, exponents, parse_tableau
 from wba.upoly import UniPoly
-from algebra_helpers import d_gen
+from algebra_helpers import d_gen, s_gen
 from symbolic_oracle import _root_poly, baxter_factor, step_function
 
 S11 = Shape(1, 1)
@@ -267,6 +267,13 @@ def test_evaluate_step_degenerate_passthrough():
     z = ([], [])
     e = elem(d_gen(S11)) + one(S11)
     assert _evaluate_step_info(e, [], 2, z, affine(7)) == (e, 0)
+
+
+def test_evaluate_step_is_zero_when_zeros_outnumber_the_pole():
+    # (u - c)^2 / (u - c) vanishes at u = c; the pole order is still 1
+    c = affine(1)
+    zero = AlgebraElement.zero(S11)
+    assert _evaluate_step_info(one(S11), [], 2, ([c, c], [c]), c) == (zero, 1)
 
 
 def test_golden_idempotent():

@@ -1,14 +1,14 @@
-"""The package's record classes: plain `__slots__` classes with the value
-semantics of dataclasses.  Each is equal to an
-instance built separately from equal values, and then hashes equal where it
-is hashable; the immutable ones refuse assignment; a default list or dict is
-fresh for every instance."""
+"""The package's record classes.  Each value class, hand-written or a
+NamedTuple, is equal and hashes equal to an instance built separately from
+equal values, and refuses assignment and deletion.  The report builders are
+plain `__slots__` classes filled in place."""
 
 import pytest
 
 from wba.diagrams import CompositionResult, Shape, identity
 from wba.errors import IndexOutOfRange
 from wba.fusion import MinimalDiagnostics, MinimalStep
+from wba.scalars import ONE
 from wba.tableaux import (
     Bipartition,
     Partition,
@@ -27,81 +27,58 @@ def golden():
     return parse_tableau(GOLDEN_SPEC, Shape(2, 2))
 
 
-# name -> (build, others, immutable, defaults): build() makes a fresh
-# instance from fresh values, others() values that differ from it; defaults
-# names the fields whose default is a fresh list or dict
+# name -> (build, others): build() makes a fresh instance from fresh values,
+# others() values that differ from it; others is None for a report builder,
+# which has no value equality
 RECORDS = {
-    "Shape": (lambda: Shape(r=2, s=1), lambda: [Shape(2, 2), Shape(1, 1), (2, 1)], True, ()),
+    "Shape": (lambda: Shape(r=2, s=1), lambda: [Shape(2, 2), Shape(1, 1), (2, 1)]),
     "CompositionResult": (
         lambda: CompositionResult(identity(S22), loops=1),
         lambda: [CompositionResult(identity(S22), 0)],
-        True,
-        (),
     ),
-    "Partition": (lambda: Partition([2, 1]), lambda: [Partition((3,))], True, ()),
+    "Partition": (lambda: Partition([2, 1]), lambda: [Partition((3,))]),
     "Bipartition": (
         lambda: Bipartition(Partition((1,)), right=Partition((1,))),
         lambda: [Bipartition(Partition((1,))), Bipartition(right=Partition((1,)))],
-        True,
-        (),
     ),
-    "WalledTableau": (golden, lambda: [enumerate_tableaux(S22)[0]], True, ()),
+    "WalledTableau": (golden, lambda: [enumerate_tableaux(S22)[0]]),
     "TripleTableau": (
         lambda: triple_tableau(golden()),
         lambda: [triple_tableau(enumerate_tableaux(S22)[0])],
-        True,
-        (),
     ),
-    "BratteliGraph": (lambda: bratteli(S22), lambda: [bratteli(Shape(2, 1))], False, ()),
+    "BratteliGraph": (lambda: bratteli(S22), None),
     "MinimalStep": (
-        lambda: MinimalStep(3, exponent=1, pole_order=2), lambda: [MinimalStep(3, 0, 2)], False, (),
+        lambda: MinimalStep(3, exponent=1, pole_order=2), lambda: [MinimalStep(3, 0, 2)],
     ),
     "MinimalDiagnostics": (
-        lambda: MinimalDiagnostics(), lambda: [MinimalDiagnostics(result_is_zero=True)], False,
-        ("steps",),
+        lambda: MinimalDiagnostics((MinimalStep(2, 0, 1),), False, ONE, True),
+        lambda: [MinimalDiagnostics((MinimalStep(2, 0, 1),), True, ONE, True)],
     ),
     "TableauCert": (
-        lambda: TableauCert("L+1,1", True, True, True, interp_agrees=None),
-        lambda: [TableauCert("L+1,1", True, True, False)],
-        False,
-        (),
+        lambda: TableauCert("L+1,1", True, True, True, None, None, None),
+        lambda: [TableauCert("L+1,1", True, True, False, None, None, None)],
     ),
-    "CertReport": (
-        lambda: CertReport(2, 2),
-        lambda: [CertReport(2, 2, orthogonal=False)],
-        False,
-        ("tableaux", "orthogonality_failures", "timings"),
-    ),
+    "CertReport": (lambda: CertReport(2, 2), None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_semantics(name):
-    build, others, immutable, defaults = RECORDS[name]
+    build, others = RECORDS[name]
     a, b = build(), build()
     assert type(a).__name__ == name and not hasattr(a, "__dict__")
+    if others is None:
+        return
     assert a is not b and a == b and not a != b
     for other in others():
         assert a != other and not a == other
-    if immutable:
-        assert hash(a) == hash(b)
-        field = type(a).__slots__[0]
-        with pytest.raises(AttributeError):
-            setattr(a, field, getattr(b, field))
-        with pytest.raises(AttributeError):
-            delattr(a, field)
-        assert a == b
-    else:
-        with pytest.raises(TypeError):
-            hash(a)
-    for field in defaults:
-        value = getattr(a, field)
-        assert not value and value is not getattr(b, field)
-        if isinstance(value, list):
-            value.append(None)
-        else:
-            value["key"] = None
-        assert not getattr(build(), field)
+    assert hash(a) == hash(b)
+    field = (getattr(type(a), "_fields", None) or type(a).__slots__)[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
 
 
 def test_record_validation_and_reprs():

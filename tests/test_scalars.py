@@ -142,7 +142,8 @@ def test_parse_examples(text, value):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "d+", "2**d", "(d", "x", "d^d", "1/(d-d)", "d^99999999", "2^257", "(d^100)^3",
+    ["", "d+", "2**d", "(d", "d)", "x", "d^d", "1/(d-d)", "d^99999999", "2^257", "(d^100)^3",
+     "(2^200*2^200)^200",
      pytest.param("9" * 1001, id="1001-digits"),
      pytest.param("d+" + "1" * 5000, id="5000-digits"),
      "\u00b2", "d^\u00b2"],

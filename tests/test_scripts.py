@@ -31,6 +31,7 @@ def test_golden_idempotent_script():
 
 
 def test_certify_script():
-    proc = run_script("certify.py", "3")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count(": ok ") == 3  # (1,1), (1,2), (2,1)
+    for args in (["3"], ["3", "--full"]):
+        proc = run_script("certify.py", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(": ok ") == 3  # (1,1), (1,2), (2,1)

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from wba.diagrams import Shape
-from wba.errors import IllegalMove, ParseError
+from wba.errors import IllegalMove, IndexOutOfRange, ParseError
 from wba.scalars import DELTA, ONE, ZERO, affine, scalar_str
 from wba.tableaux import (
     Bipartition,
     Move,
     Partition,
+    TripleTableau,
     _advance,
     bratteli,
     diag_len,
@@ -322,24 +323,48 @@ def test_parse_tableau_rejects_bad_moves():
         parse_tableau("R+1,1;L+1,1", S11)  # additions to the right before the wall
 
 
+def _emptied_right_fill():
+    tt = triple_tableau(parse_tableau("L+1,1;L+1,2;R+1,1;R+1,2", S22))
+    emptied = TripleTableau(
+        tt.lambda_prime, tt.nu, tt.lambda_second, tt.fill_prime, tt.removed_fill, ()
+    )
+    return tableau_from_triple(emptied, S22)
+
+
 @pytest.mark.parametrize(
-    "shape,spec,step",
+    "build,error,step",
     [
-        (S11, "L-1,1;L+1,1", 1),  # a removal before the wall
-        (S11, "R+1,1;L+1,1", 1),  # a right addition before the wall
-        (S22, "L+1,1;L+1,3;R+1,1;R+1,2", 2),  # L+ to a cell that is not addable
-        (S22, "L+1,1;L+1,2;R+1,2;R+1,1", 3),  # R+ to a cell that is not addable
-        (S22, "L+1,1;L+1,2;L-2,1;L-1,2", 3),  # L- of a cell that is not removable
+        # a removal before the wall
+        (lambda: parse_tableau("L-1,1;L+1,1", S11), IllegalMove, 1),
+        # a right addition before the wall
+        (lambda: parse_tableau("R+1,1;L+1,1", S11), IllegalMove, 1),
+        # L+ to a cell that is not addable
+        (lambda: parse_tableau("L+1,1;L+1,3;R+1,1;R+1,2", S22), IllegalMove, 2),
+        # R+ to a cell that is not addable
+        (lambda: parse_tableau("L+1,1;L+1,2;R+1,2;R+1,1", S22), IllegalMove, 3),
+        # L- of a cell that is not removable
+        (lambda: parse_tableau("L+1,1;L+1,2;L-2,1;L-1,2", S22), IllegalMove, 3),
         # the length check reports the first step past the end of the path
-        (S11, "L+1,1;L-1,1;R+1,1", 3),
+        (lambda: parse_tableau("L+1,1;L-1,1;R+1,1", S11), IllegalMove, 3),
+        # no legal move at step 2 has content 0
+        (lambda: tableau_from_contents(S22, (ZERO, ZERO, DELTA, DELTA)), IllegalMove, 2),
+        # the fillings cover steps 1 and 2 only
+        (_emptied_right_fill, IllegalMove, 3),
+        # the partition layer refuses a bad part or cell; there is no step to name
+        (lambda: Partition((0,)), IndexOutOfRange, None),
+        (lambda: P(1).with_cell((1, 3)), IndexOutOfRange, None),
+        (lambda: P(2, 1).without_cell((1, 1)), IndexOutOfRange, None),
     ],
     ids=["remove-before-wall", "right-before-wall", "left-not-addable",
-         "right-not-addable", "left-not-removable", "one-move-too-long"],
+         "right-not-addable", "left-not-removable", "one-move-too-long",
+         "content-matches-no-move", "fillings-miss-steps", "zero-part",
+         "cell-not-addable", "cell-not-removable"],
 )
-def test_illegal_move_names_its_step(shape, spec, step):
-    with pytest.raises(IllegalMove) as err:
-        parse_tableau(spec, shape)
-    assert err.value.step == step
+def test_illegal_move_names_its_step(build, error, step):
+    with pytest.raises(error) as err:
+        build()
+    if step is not None:
+        assert err.value.step == step
 
 
 def test_enumeration_matches_bratteli_paths():
