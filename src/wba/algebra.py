@@ -150,21 +150,22 @@ def _scalar(c) -> DeltaScalar:
 
 # Product route.  Once a shape's composition table is built, a product of at
 # least _DENSE_PAIR_THRESHOLD term pairs takes the dense path.  Before that,
-# only a product of at least _DENSE_ONE_OFF_PAIRS pairs pays for importing
-# numpy and tabulating the shape; callers that make many large products
+# only a product of at least _DENSE_ONE_OFF_PAIRS pairs pays for tabulating
+# the shape (plain Python, about 0.1 s at six sites) and for importing numpy,
+# which only the dense path loads; callers that make many large products
 # build the table first, as verify._system_report does.  One-off `wba mul`
 # processes on a 2-core machine, CPU s and peak RSS MiB, sparse against
-# dense (medians of 3): (4,1), 120 x 120 idempotents, 0.24 / 18 against
-# 0.30 / 30; (3,3) idempotents cut to their first k terms, 181 x 181,
-# 0.50 / 22 against 0.59 / 34; 256 x 256 (2^16 pairs), 0.86 / 25 against
-# 0.59 / 36; 362 x 362, 1.27 / 31 against 0.66 / 37; 512 x 512, 2.29 / 45
-# against 0.68 / 40; 600 x 600, 3.19 / 69 against 0.66 / 42; 720 x 720,
-# 3.76 / 71 against 0.75 / 45.  No 5-site product reaches the cut-off.
+# dense (medians of 3): (4,1), 120 x 120 idempotents, 0.15 / 17 against
+# 0.19 / 30; (3,3) idempotents cut to their first k terms, 181 x 181,
+# 0.28 / 20 against 0.31 / 35; 256 x 256 (2^16 pairs), 0.50 / 24 against
+# 0.31 / 35; 362 x 362, 0.77 / 31 against 0.34 / 37; 512 x 512, 1.46 / 44
+# against 0.44 / 39; 600 x 600, 2.03 / 68 against 0.56 / 41; 720 x 720,
+# 3.47 / 70 against 0.51 / 44.  No 5-site product reaches the cut-off.
 _DENSE_PAIR_THRESHOLD = 1024
 _DENSE_ONE_OFF_PAIRS = 1 << 16
 
-# the dense path packs loop counts into 3 bits and int8 tables; a diagram on
-# n sites closes fewer than n loops
+# the dense path packs loop counts into 3 bits and reads them as int8; a
+# diagram on n sites closes fewer than n loops
 assert _TABLE_MAX_SITES < 8
 
 
@@ -234,7 +235,10 @@ def _mul_elements_dense(a: AlgebraElement, b: AlgebraElement, space) -> AlgebraE
     """
     import numpy as np
 
-    table_idx, table_loops = composition_table(a.shape)
+    idx, loops = composition_table(a.shape)
+    count = len(space.by_idx)
+    table_idx = np.frombuffer(idx, dtype=np.int32).reshape(count, count)
+    table_loops = np.frombuffer(loops, dtype=np.int8).reshape(count, count)
 
     def split(element):
         den, cleared = element._cleared_form()

@@ -307,9 +307,10 @@ def _run(argv) -> int:
 
 
 def main(argv=None) -> int:
-    # OpenBLAS, which numpy loads, starts worker threads that burn CPU after
-    # the import; wba never calls BLAS, and the command line owns its
-    # process, so it asks for none unless the caller chose a count
+    # numpy loads only in a dense product, and the OpenBLAS it loads starts
+    # worker threads that burn CPU after the import; wba never calls BLAS,
+    # and the command line owns its process, so it asks for none unless the
+    # caller chose a count
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = _run(argv)

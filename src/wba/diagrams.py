@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
+from collections import deque
 from typing import Iterator, NamedTuple
 
 from .errors import IndexOutOfRange, ShapeMismatch
@@ -116,7 +118,8 @@ class _ShapeSpace:
         self.by_img: dict = {}
         self.by_idx: list = []
         self.cache: dict = {}
-        self.table = None  # (result_idx, loops) numpy pair once built
+        # row-major result indices array('i') and loop counts array('b')
+        self.table = None
 
 
 _REGISTRY: dict = {}
@@ -275,102 +278,74 @@ def _compose_raw(upper: WalledDiagram, lower: WalledDiagram):
 # dense tables stay affordable up to six sites (720^2 entries)
 _TABLE_MAX_SITES = 6
 
-# the table kernel stores result indices (below n!) as int32 and looks each
-# result image up by its base-n code (below n^n); both must fit int32
+# the table stores result indices (below n!) as C ints, which the dense
+# product reads as int32
 assert math.factorial(_TABLE_MAX_SITES) < 1 << 31
-assert _TABLE_MAX_SITES**_TABLE_MAX_SITES < 1 << 31
-
-# term pairs composed at once by the table kernel; bounds its temporaries
-_TABLE_BLOCK_PAIRS = 1024
+assert array("i").itemsize == 4
 
 
 def composition_table(shape: Shape):
-    """The full composition table of a small shape as numpy arrays
-    (result index, loop count), built once and cached; None when the shape is
-    too large to tabulate.
+    """The full composition table of a small shape as flat row-major arrays
+    (result index 'i', loop count 'b'), built once and cached; None when the
+    shape is too large to tabulate.
 
-    Entry [u, l] is the composition of by_idx[u] above by_idx[l].  A block of
-    upper diagrams meets every lower diagram at once, and the paths of all
-    its pairs are traced in lockstep; `_compose_raw` is the single-pair oracle.
+    Entry u*N + l, for N diagrams, is the composition of by_idx[u] above
+    by_idx[l].  Each transposition g (every s_{i,k} and d_{i,k}) acts on the
+    left of every diagram x through `_compose_raw`, the single-pair oracle:
+    g∘x is diagram act[x] and closes closes[x] loops.  If g∘a = b closes no
+    loop, then b∘x = g∘(a∘x) and b∘x closes the loops of a∘x plus those g
+    closes on a∘x, so row b is row a mapped through g's action.  A
+    breadth-first walk from the identity row along loop-free edges fills
+    every row: every diagram is a word in the transpositions that closes no
+    loop, and loops once closed are never undone, so every prefix of that
+    word closes none either.  The walk asserts that it reached every row.
     """
     space = _shape_entry(shape)
     if space.table is not None:
         return space.table
     if shape.n > _TABLE_MAX_SITES:
         return None
-    import numpy as np
 
-    r, n = shape.r, shape.n
     for _ in all_diagrams(shape):  # intern the rest after those already present
         pass
     diagrams = space.by_idx
     count = len(diagrams)
+    actions = []
+    for i, k in itertools.combinations(range(1, shape.n + 1), 2):
+        g = _transposition(shape, i, k)
+        act, closes = [], []
+        for x in diagrams:
+            gx, closed = _compose_raw(g, x)
+            act.append(gx.idx)
+            closes.append(closed)
+        actions.append((act, closes))
 
-    # Each pair gets a row of 3(n + 1) positions: 1..n hold the lower
-    # diagram's top partners, n+2..2n+1 the upper diagram's bottom partners,
-    # and exit + t, the result's target t, maps to itself.  A partner on the
-    # middle row names the position that continues the path across it, so
-    # one gather is one hop.
-    width, exit_ = 3 * (n + 1), 2 * n + 2
-    partners = np.array([d._mt + d._mb for d in diagrams], dtype=np.intp) + n
-    signed = range(-n, n + 1)
-    # seen from the lower diagram, +j is the middle point j and -j the target j
-    as_lower = np.array([n + 1 + v if v > 0 else exit_ - v for v in signed])[partners]
-    # seen from the upper diagram, -j is the middle point j and +j the target j
-    as_upper = np.array([-v if v < 0 else exit_ + v for v in signed])[partners]
-
-    # each diagram's index by the base-n code of its image
-    weights = n ** np.arange(n - 1, -1, -1, dtype=np.intp)
-    lookup = np.zeros(n**n, dtype=np.int32)
-    images = np.array([d.img for d in diagrams], dtype=np.intp).reshape(count, n)
-    lookup[(images - 1) @ weights] = np.arange(count, dtype=np.int32)
-    code_base = (exit_ + 1) * int(weights.sum())
-
-    uppers = max(1, _TABLE_BLOCK_PAIRS // count)
-    rows = np.empty((uppers, count, width), dtype=np.intp)
-    rows[:, :, : n + 1] = as_lower[:, : n + 1]
-    rows[:, :, exit_:] = np.arange(exit_, width)
-    # sources i <= r leave from the upper top row, the others from the lower
-    # bottom row
-    starts = np.empty((uppers, count, n), dtype=np.intp)
-    starts[:, :, r:] = as_lower[:, n + 2 + r :]
-    labels = np.arange(n + 1)
-    doublings = n.bit_length()  # 2^doublings > n covers every orbit
-
-    idx = np.empty((count, count), dtype=np.int32)
-    loops = np.empty((count, count), dtype=np.int8)
-    for u0 in range(0, count, uppers):
-        k = min(uppers, count - u0)
-        rows[:k, :, n + 1 : exit_] = as_upper[u0 : u0 + k, None, n + 1 :]
-        starts[:k, :, :r] = as_upper[u0 : u0 + k, None, 1 : r + 1]
-        flat = rows[:k].reshape(-1)
-        pairs = k * count
-        base = np.arange(0, pairs * width, width)[:, None]
-
-        # a path crosses each middle point at most once, so n hops end it
-        cur = starts[:k].reshape(pairs, n)
-        for _ in range(n):
-            cur = flat[cur + base]
-        idx[u0 : u0 + k] = lookup[cur @ weights - code_base].reshape(k, count)
-
-        # f(m) = -umb[lmt[m]] steps two middle points along a closed loop, and
-        # the two parities of its points make two f-cycles; on an open path f
-        # runs into the sink 0.  Pointer doubling finds each orbit's least
-        # point, and a point that is its orbit's least closes one f-cycle.
-        f = flat[flat[base + labels] + base]
-        f = np.where(f <= n, f, 0).ravel()
-        least = np.broadcast_to(labels, (pairs, n + 1)).ravel()
-        step = np.arange(0, pairs * (n + 1), n + 1).repeat(n + 1)
-        for _ in range(doublings):
-            jump = f + step
-            least = np.minimum(least, least[jump])
-            f = f[jump]
-        # the sink's orbit and two f-cycles per closed loop
-        orbits = (least.reshape(pairs, n + 1) == labels).sum(axis=1)
-        loops[u0 : u0 + k] = (orbits // 2).reshape(k, count)
+    idx = array("i", [0]) * (count * count)
+    loops = array("b", [0]) * (count * count)
+    start = identity(shape).idx
+    reached = [False] * count
+    reached[start] = True
+    pending = {start: (list(range(count)), [0] * count)}
+    walk = deque(pending)
+    while walk:
+        a = walk.popleft()
+        row, row_loops = pending.pop(a)
+        idx[a * count : (a + 1) * count] = array("i", row)
+        loops[a * count : (a + 1) * count] = array("b", row_loops)
+        for act, closes in actions:
+            b = act[a]
+            if closes[a] or reached[b]:
+                continue
+            reached[b] = True
+            pending[b] = (
+                [act[x] for x in row],
+                [l + closes[x] for x, l in zip(row, row_loops)],
+            )
+            walk.append(b)
+    assert all(reached), f"the loop-free walk missed a row of shape {shape}"
 
     # the dense product packs loop counts into 3 bits
-    assert loops.max() < 8
+    assert max(loops) < 8
     space.table = (idx, loops)
     return space.table
 

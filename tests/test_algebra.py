@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wba.algebra as algebra
 from wba.algebra import (
     AlgebraElement,
     element_from_json,
@@ -12,9 +13,11 @@ from wba.algebra import (
     iota,
     jm_element,
 )
-from wba.diagrams import Shape, d_pair, make_diagram, vertical_flip
+from wba.diagrams import Shape, _shape_entry, composition_table, d_pair, make_diagram, vertical_flip
 from wba.errors import ParseError, ShapeMismatch
+from wba.fusion import fusion_idempotent
 from wba.scalars import DELTA, ONE, DeltaScalar
+from wba.tableaux import enumerate_tableaux
 from algebra_helpers import (
     commutator,
     d_gen,
@@ -209,3 +212,21 @@ def test_mul_associative_and_distributive(a, b, c):
 @given(sparse_elements(), sparse_elements())
 def test_iota_reverses_products(a, b):
     assert iota(a * b) == iota(b) * iota(a)
+
+
+@pytest.mark.parametrize("shape", [Shape(2, 3), Shape(3, 2)])
+def test_dense_product_over_the_table_is_the_sparse_product(monkeypatch, shape):
+    # the first two idempotents (at least 84 terms each): a square, and an
+    # orthogonal pair whose terms all cancel
+    e, f = (fusion_idempotent(t) for t in enumerate_tableaux(shape)[:2])
+    assert min(len(e.terms), len(f.terms)) >= 84
+    with monkeypatch.context() as sparse_only:
+        sparse_only.setattr(algebra, "_DENSE_PAIR_THRESHOLD", 1 << 62)
+        sparse_only.setattr(algebra, "_DENSE_ONE_OFF_PAIRS", 1 << 62)
+        square, cross = e * e, e * f
+    assert square == e and cross == AlgebraElement.zero(shape)
+
+    composition_table(shape)
+    space = _shape_entry(shape)
+    assert algebra._mul_elements_dense(e, e, space) == square
+    assert algebra._mul_elements_dense(e, f, space) == cross

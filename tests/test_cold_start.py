@@ -2,10 +2,11 @@
 
 Each subcommand imports only the layers it uses, so a short process does not
 pay for fusion, certification or numpy that it never runs, and no process
-loads `dataclasses` or the `inspect` module it imports.  A one-off large
-product stays on the sparse path unless it is large enough to pay for the
-composition table; once the table is built, large products use it, and the
-command line keeps OpenBLAS from starting worker threads.
+loads `dataclasses` or the `inspect` module it imports.  Building a
+composition table needs no numpy; only the dense product loads it.  A
+one-off large product stays on the sparse path unless it is large enough to
+pay for the composition table; once the table is built, large products use
+it, and the command line keeps OpenBLAS from starting worker threads.
 """
 
 import json
@@ -113,6 +114,26 @@ def test_untabulated_shape_never_imports_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [True, False]
+
+
+def test_building_the_prebuilt_tables_never_imports_numpy():
+    # the tables of the 5-site shapes that fusion sweeps prebuild
+    probe = (
+        "import json, sys\n"
+        "from wba.diagrams import Shape, composition_table\n"
+        "for r, s in [(1, 4), (4, 1), (2, 3), (3, 2)]:\n"
+        "    assert composition_table(Shape(r, s)) is not None\n"
+        "print(json.dumps('numpy' in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) is False
 
 
 def small_product_input():
