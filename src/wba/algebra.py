@@ -155,12 +155,12 @@ def _scalar(c) -> DeltaScalar:
 # which only the dense path loads; callers that make many large products
 # build the table first, as verify._system_report does.  One-off `wba mul`
 # processes on a 2-core machine, CPU s and peak RSS MiB, sparse against
-# dense (medians of 3): (4,1), 120 x 120 idempotents, 0.15 / 17 against
+# dense (medians of 3): (4,1), 120 x 120 idempotents, 0.17 / 18 against
 # 0.19 / 30; (3,3) idempotents cut to their first k terms, 181 x 181,
-# 0.28 / 20 against 0.31 / 35; 256 x 256 (2^16 pairs), 0.50 / 24 against
-# 0.31 / 35; 362 x 362, 0.77 / 31 against 0.34 / 37; 512 x 512, 1.46 / 44
-# against 0.44 / 39; 600 x 600, 2.03 / 68 against 0.56 / 41; 720 x 720,
-# 3.47 / 70 against 0.51 / 44.  No 5-site product reaches the cut-off.
+# 0.34 / 20 against 0.43 / 35; 256 x 256 (2^16 pairs), 0.45 / 23 against
+# 0.45 / 35; 362 x 362, 0.92 / 30 against 0.48 / 37; 512 x 512, 1.78 / 44
+# against 0.45 / 40; 600 x 600, 2.14 / 68 against 0.41 / 41; 720 x 720,
+# 3.41 / 69 against 0.47 / 44.  No 5-site product reaches the cut-off.
 _DENSE_PAIR_THRESHOLD = 1024
 _DENSE_ONE_OFF_PAIRS = 1 << 16
 
@@ -174,8 +174,11 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
     Terms are grouped by coefficient so each distinct scalar pair multiplies
     once, and per-diagram sums count repeated values before touching the
-    canonicalizing scalar addition.  Large products on tabulated shapes take
-    a vectorized path that aggregates the whole term-pair grid at once.
+    canonicalizing scalar addition.  Elements carry few distinct
+    coefficients, so many output diagrams receive the same {value:
+    multiplicity} bucket; a dict local to the call sums each distinct
+    bucket of two or more values once.  Large products on tabulated shapes
+    take a vectorized path that aggregates the whole term-pair grid at once.
     """
     shape = a.shape
     space = _shape_entry(shape)
@@ -218,8 +221,15 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                     else:
                         bucket[c] = bucket.get(c, 0) + 1
     out: dict = {}
+    sums: dict = {}
     for idx, bucket in buckets.items():
-        acc = scalar_linear_combination(bucket.items())
+        if len(bucket) == 1:
+            acc = scalar_linear_combination(bucket.items())
+        else:
+            key = frozenset(bucket.items())
+            acc = sums.get(key)
+            if acc is None:
+                acc = sums[key] = scalar_linear_combination(bucket.items())
         if acc:
             out[by_idx[idx]] = acc
     return AlgebraElement(shape, out)

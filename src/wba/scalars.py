@@ -398,8 +398,9 @@ def scalar_linear_combination(items) -> DeltaScalar:
     sums over the lcm of the distinct denominators with plain polynomial
     arithmetic, so the expensive gcd canonicalization runs once for the whole
     sum instead of once per addition, and each lcm step and rescale factor
-    once per distinct denominator.  This is the workhorse of the large
-    orthogonality sweeps.
+    once per distinct denominator.  The sparse algebra product sums each
+    output diagram's bucket with it; the dense product, which the large
+    orthogonality sweeps use, does not call it.
     """
     items = [(c, k) for c, k in items if k and c.num]
     if not items:

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,20 @@ from wba.algebra import (
     iota,
     jm_element,
 )
-from wba.diagrams import Shape, _shape_entry, composition_table, d_pair, make_diagram, vertical_flip
+from wba.diagrams import (
+    Shape,
+    _shape_entry,
+    _transposition,
+    all_diagrams,
+    compose,
+    composition_table,
+    d_pair,
+    make_diagram,
+    vertical_flip,
+)
 from wba.errors import ParseError, ShapeMismatch
 from wba.fusion import fusion_idempotent
-from wba.scalars import DELTA, ONE, DeltaScalar
+from wba.scalars import DELTA, ONE, ZERO, DeltaScalar
 from wba.tableaux import enumerate_tableaux
 from algebra_helpers import (
     commutator,
@@ -230,3 +241,112 @@ def test_dense_product_over_the_table_is_the_sparse_product(monkeypatch, shape):
     space = _shape_entry(shape)
     assert algebra._mul_elements_dense(e, e, space) == square
     assert algebra._mul_elements_dense(e, f, space) == cross
+
+
+@pytest.fixture
+def sparse_only(monkeypatch):
+    """Route every product through the sparse path, whatever its size."""
+    monkeypatch.setattr(algebra, "_DENSE_PAIR_THRESHOLD", 1 << 62)
+    monkeypatch.setattr(algebra, "_DENSE_ONE_OFF_PAIRS", 1 << 62)
+
+
+def product_buckets(a, b) -> dict:
+    """Each output diagram of a*b mapped to its {value: multiplicity} bucket:
+    the scalar c_a * c_b * d^loops of every term pair that lands on it."""
+    buckets: dict = {}
+    for da, ca in a.terms.items():
+        for db, cb in b.terms.items():
+            res, loops = compose(da, db)
+            value = ca * cb * DELTA**loops
+            bucket = buckets.setdefault(res, {})
+            bucket[value] = bucket.get(value, 0) + 1
+    return buckets
+
+
+def oracle_product(a, b) -> dict:
+    """The terms of a*b, added term pair by term pair with scalar + and *."""
+    out: dict = {}
+    for res, bucket in product_buckets(a, b).items():
+        acc = ZERO
+        for value, k in bucket.items():
+            for _ in range(k):
+                acc = acc + value
+        if acc:
+            out[res] = acc
+    return out
+
+
+def transpositions(shape):
+    return [
+        AlgebraElement.from_diagram(_transposition(shape, i, k))
+        for i in range(1, shape.n + 1)
+        for k in range(i + 1, shape.n + 1)
+    ]
+
+
+# (4,1) tableaux 0 and 18: idempotents with 2 and 44 distinct coefficients
+S41_IDEMPOTENTS = (0, 18)
+
+
+@pytest.mark.parametrize("index", S41_IDEMPOTENTS)
+def test_sparse_product_is_the_term_by_term_product(sparse_only, index):
+    shape = Shape(4, 1)
+    e = fusion_idempotent(enumerate_tableaux(shape)[index])
+    gens = transpositions(shape)
+    assert len(gens) == 10
+    for g in gens:
+        assert (e * g).terms == oracle_product(e, g)
+        assert (g * e).terms == oracle_product(g, e)
+    square = e * e
+    assert square.terms == oracle_product(e, e)
+    assert square == e
+
+
+def pool_element(rng, shape, pool, size):
+    diagrams = list(all_diagrams(shape))
+    return AlgebraElement(
+        shape, {d: rng.choice(pool) for d in rng.sample(diagrams, size)}
+    )
+
+
+@pytest.mark.parametrize("shape", [Shape(2, 2), Shape(3, 1)])
+def test_sparse_product_with_few_distinct_coefficients(sparse_only, shape):
+    # few distinct coefficients give many equal values, and so repeated
+    # buckets, some with the same values at other multiplicities
+    pool = [ONE, -ONE, DELTA]
+    rng = random.Random(7)
+    cancelled = 0
+    for _ in range(20):
+        a = pool_element(rng, shape, pool, 12)
+        b = pool_element(rng, shape, pool, 12)
+        product = a * b
+        assert product.terms == oracle_product(a, b)
+        buckets = product_buckets(a, b).items()
+        cancelled += sum(
+            1 for res, bucket in buckets if len(bucket) > 1 and res not in product.terms
+        )
+    assert cancelled > 0
+
+
+@pytest.mark.parametrize("index", S41_IDEMPOTENTS)
+def test_sparse_product_sums_each_distinct_bucket_once(sparse_only, monkeypatch, index):
+    e = fusion_idempotent(enumerate_tableaux(Shape(4, 1))[index])
+    multi = [
+        bucket for bucket in product_buckets(e, e).values() if len(bucket) > 1
+    ]
+    distinct = {frozenset(bucket.items()) for bucket in multi}
+    assert len(distinct) < len(multi)
+
+    original = algebra.scalar_linear_combination
+    sums = []
+
+    def counted(items):
+        items = list(items)
+        if len(items) > 1:
+            sums.append(frozenset(items))
+        return original(items)
+
+    monkeypatch.setattr(algebra, "scalar_linear_combination", counted)
+    assert e * e == e
+    assert len(sums) == len(distinct)
+    assert set(sums) == distinct
