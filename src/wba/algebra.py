@@ -28,6 +28,7 @@ from .errors import IndexOutOfRange, ParseError, ShapeMismatch
 from .scalars import (
     DELTA,
     ONE,
+    ZERO,
     DeltaScalar,
     _coerce,
     _den_lcm,
@@ -44,7 +45,7 @@ class AlgebraElement:
 
     def __init__(self, shape: Shape, terms: dict):
         self.shape = shape
-        self.terms = {d: c for d, c in terms.items() if c}
+        self.terms = {d: c for d, c in terms.items() if c is not ZERO}
         self._cleared = None
 
     def _cleared_form(self):
@@ -115,7 +116,7 @@ class AlgebraElement:
 
     def scale(self, c) -> "AlgebraElement":
         c = _scalar(c)
-        if not c:
+        if c is ZERO:
             return AlgebraElement.zero(self.shape)
         return AlgebraElement(self.shape, {d: a * c for d, a in self.terms.items()})
 
@@ -230,7 +231,7 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             acc = sums.get(key)
             if acc is None:
                 acc = sums[key] = scalar_linear_combination(bucket.items())
-        if acc:
+        if acc is not ZERO:
             out[by_idx[idx]] = acc
     return AlgebraElement(shape, out)
 

@@ -16,9 +16,11 @@ d_{i,k}) is a transposition.
 Composition places the upper diagram above the lower one, glues the middle
 row, traces the boundary paths and counts the closed loops left in the middle
 row; the algebra layer turns each loop into a factor of the parameter d.
-Diagrams are interned per shape so they can serve as dict keys with identity
-semantics, and compositions are memoized per shape, in a memo that empties
-itself at the scalar memos' size limit.
+Diagrams are interned per shape, in a table that is never emptied, so equal
+diagrams are one object: a diagram hashes and compares by identity, at C
+speed, and copies and pickles go back through make_diagram to the interned
+object.  Compositions are memoized per shape, in a memo that empties itself
+at the scalar memos' size limit.
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ class Shape:
 
     __hash__ = _stored_hash
 
+    def __reduce__(self):
+        return Shape, (self.r, self.s)
+
     def __repr__(self):
         return f"Shape(r={self.r!r}, s={self.s!r})"
 
@@ -98,12 +103,15 @@ def epsilon(shape: Shape, j: int) -> int:
 
 class WalledDiagram:
     """An interned walled diagram; construct through make_diagram.  Equal
-    diagrams are the same object, so equality is identity."""
+    diagrams are the same object, so equality and the inherited hash are
+    identity."""
 
-    __slots__ = ("shape", "img", "idx", "_hash", "_mt", "_mb")
+    __slots__ = ("shape", "img", "idx", "_mt", "_mb")
 
     __setattr__ = __delattr__ = _immutable
-    __hash__ = _stored_hash
+
+    def __reduce__(self):
+        return make_diagram, (self.shape, self.img)
 
     def __repr__(self):
         return f"WalledDiagram({self.shape.r},{self.shape.s},{list(self.img)})"
@@ -115,6 +123,9 @@ class _ShapeSpace:
     __slots__ = ("by_img", "by_idx", "cache", "table")
 
     def __init__(self):
+        # never emptied: diagrams hash and compare by identity, so a second
+        # object for an img would be a second, unequal key
+        # (perfbench/make_expected.py's cold() empties only cache and table)
         self.by_img: dict = {}
         self.by_idx: list = []
         self.cache: dict = {}
@@ -174,7 +185,6 @@ def make_diagram(shape: Shape, img) -> WalledDiagram:
     object.__setattr__(d, "shape", shape)
     object.__setattr__(d, "img", img)
     object.__setattr__(d, "idx", len(by_idx))
-    object.__setattr__(d, "_hash", hash((shape.r, shape.s, img)))
     mt, mb = _matchings(shape, img)
     object.__setattr__(d, "_mt", mt)
     object.__setattr__(d, "_mb", mb)

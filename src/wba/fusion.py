@@ -139,12 +139,12 @@ def _fold(e, factors, c, depth: int, multiply_left=False) -> list:
     series = [e] + [AlgebraElement.zero(e.shape)] * depth
     for root, gen, coeff in reversed(factors) if multiply_left else factors:
         t = c - root
-        f1 = t.inverse() if t else ONE
+        f1 = t.inverse() if t is not ZERO else ONE
         g = AlgebraElement.from_diagram(gen, coeff * f1)
         for j in range(depth, -1, -1):
             ej = series[j]
             term = (g * ej if multiply_left else ej * g) if ej else ej
-            if t:
+            if t is not ZERO:
                 term = term + ej
             if j and series[j - 1]:
                 term = term + (series[j - 1] if f1 is ONE else series[j - 1].scale(f1))
@@ -169,7 +169,7 @@ def _times(series, scalars) -> list:
     for j in range(len(series)):
         coeff = AlgebraElement.zero(series[0].shape)
         for i in range(j + 1):
-            if scalars[i] and series[j - i]:
+            if scalars[i] is not ZERO and series[j - i]:
                 coeff = coeff + series[j - i].scale(scalars[i])
         out.append(coeff)
     return out

@@ -6,10 +6,14 @@ empty tuple is zero.  A scalar is a fraction num/den of two such polynomials
 kept in one canonical form: gcd(num, den) = 1 in Q[d], the gcd of all
 coefficients of num and den together is 1, and den has a positive leading
 coefficient.  This is also the form the text output prints.  Canonical
-scalars are interned, so equal values are the same object and structural
-equality is value equality.  Keeping the parameter formal realizes the
-generic regime exactly; no numeric d is ever chosen and no floating point
-appears anywhere.
+scalars are interned, so equal values are the same object: a scalar hashes
+and compares with another scalar by identity, at C speed.  The intern table
+is never emptied, which is what keeps identity and value equality one
+relation.  A scalar still equals the int or Fraction of the same value,
+DeltaScalar.from_int(1) == 1, but the two hash differently, so scalars and
+numbers must not be mixed as keys of one dict.  Keeping the parameter
+formal realizes the generic regime exactly; no numeric d is ever chosen and
+no floating point appears anywhere.
 
 Gcds come from a primitive polynomial remainder sequence over Z[d] and
 cofactors from exact division in Z[d], so no rational coefficient arises
@@ -49,7 +53,7 @@ def padd(a: Poly, b: Poly) -> Poly:
 
 
 def pneg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
 
 
 def pmul(a: Poly, b: Poly) -> Poly:
@@ -67,7 +71,7 @@ def pmul(a: Poly, b: Poly) -> Poly:
 def pscale(a: Poly, k: int) -> Poly:
     if not k:
         return ()
-    return tuple(c * k for c in a)
+    return tuple([c * k for c in a])
 
 
 def _primitive(a: Poly) -> Poly:
@@ -75,7 +79,7 @@ def _primitive(a: Poly) -> Poly:
     g = gcd(*a)
     if a[-1] < 0:
         g = -g
-    return a if g == 1 else tuple(c // g for c in a)
+    return a if g == 1 else tuple([c // g for c in a])
 
 
 def _prem(a: Poly, b: Poly) -> Poly:
@@ -162,6 +166,9 @@ def pstr(a: Poly) -> str:
     return "".join(parts)
 
 
+# every canonical scalar ever made; never emptied, because scalars hash and
+# compare by identity, so a second object for a value would be a second,
+# unequal key (perfbench/make_expected.py's cold() empties only the memos)
 _INTERN: dict = {}
 _ADD: dict = {}
 _MUL: dict = {}
@@ -187,9 +194,15 @@ class DeltaScalar:
     num and den are int-coefficient tuples, coprime in Q[d], with joint
     content 1 and den[-1] > 0.  Instances are immutable and safe to share
     freely.
+
+    Every instance comes from make, which interns it, so equal scalars are
+    one object: hashing and equality between scalars are identity.  Copies
+    and pickles go through make again and so return the interned object.
+    A scalar equals the int or Fraction of its value, but hashes apart from
+    it.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use DeltaScalar.make / from_int / poly constructors")
@@ -212,15 +225,14 @@ class DeltaScalar:
             if den[-1] < 0:
                 c = -c
             if c != 1:
-                num = tuple(x // c for x in num)
-                den = tuple(x // c for x in den)
+                num = tuple([x // c for x in num])
+                den = tuple([x // c for x in den])
         key = (num, den)
         obj = _INTERN.get(key)
         if obj is None:
             obj = object.__new__(DeltaScalar)
             object.__setattr__(obj, "num", num)
             object.__setattr__(obj, "den", den)
-            object.__setattr__(obj, "_hash", hash(key))
             _INTERN[key] = obj
         return obj
 
@@ -245,16 +257,20 @@ class DeltaScalar:
     def __setattr__(self, name, value):
         raise AttributeError("DeltaScalar is immutable")
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return DeltaScalar.make, (self.num, self.den)
+
+    # defining __eq__ drops the inherited hash; interning makes identity the
+    # value hash
+    __hash__ = object.__hash__
 
     def __eq__(self, other):
         if self is other:
             return True
         if isinstance(other, DeltaScalar):
-            return self.num == other.num and self.den == other.den
+            return False
         if isinstance(other, (int, Fraction)):
-            return self == _coerce(other)
+            return self is _coerce(other)
         return NotImplemented
 
     def __bool__(self):
