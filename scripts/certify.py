@@ -29,7 +29,7 @@ def main(argv):
             if full:
                 report = full_report(shape)
             else:
-                report = check_system(shape, include_interp=False, include_second=False)
+                report = check_system(shape, cross_check=False)
             status = "ok" if report.ok else "FAIL"
             failures += not report.ok
             print(

@@ -12,11 +12,9 @@ from __future__ import annotations
 import json
 
 from .diagrams import (
-    _TABLE_MAX_SITES,
     Shape,
     WalledDiagram,
     _shape_entry,
-    compose,
     composition_table,
     d_pair,
     identity,
@@ -165,10 +163,6 @@ def _scalar(c) -> DeltaScalar:
 _DENSE_PAIR_THRESHOLD = 1024
 _DENSE_ONE_OFF_PAIRS = 1 << 16
 
-# the dense path packs loop counts into 3 bits and reads them as int8; a
-# diagram on n sites closes fewer than n loops
-assert _TABLE_MAX_SITES < 8
-
 
 def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear product, tuned for the certification sweeps.
@@ -178,19 +172,21 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     canonicalizing scalar addition.  Elements carry few distinct
     coefficients, so many output diagrams receive the same {value:
     multiplicity} bucket; a dict local to the call sums each distinct
-    bucket of two or more values once.  Large products on tabulated shapes
+    bucket of two or more values once.  Compositions come from the table
+    once built, else from the memo.  Large products on tabulated shapes
     take a vectorized path that aggregates the whole term-pair grid at once.
     """
     shape = a.shape
     space = _shape_entry(shape)
+    table = space.table
     pairs = len(a.terms) * len(b.terms)
-    if shape.n <= _TABLE_MAX_SITES and (
-        pairs >= _DENSE_ONE_OFF_PAIRS
-        or (pairs >= _DENSE_PAIR_THRESHOLD and space.table is not None)
+    if (table is not None and pairs >= _DENSE_PAIR_THRESHOLD) or (
+        pairs >= _DENSE_ONE_OFF_PAIRS and composition_table(shape) is not None
     ):
         return _mul_elements_dense(a, b, space)
 
-    by_idx, cache = space.by_idx, space.cache
+    by_idx, stride = space.by_idx, space.stride
+    store = space.cache if table is None else table
     groups_a: dict = {}
     for d, c in a.terms.items():
         groups_a.setdefault(c, []).append(d)
@@ -204,13 +200,9 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             c0 = ca * cb
             weighted = {0: c0}
             for da in das:
-                base = da.idx << 24
+                base = da.idx * stride
                 for db in dbs:
-                    key = base | db.idx
-                    hit = cache.get(key)
-                    if hit is None:
-                        compose(da, db)
-                        hit = cache[key]
+                    hit = store[base + db.idx]
                     loops = hit & 0xFF
                     c = weighted.get(loops)
                     if c is None:
@@ -246,10 +238,8 @@ def _mul_elements_dense(a: AlgebraElement, b: AlgebraElement, space) -> AlgebraE
     """
     import numpy as np
 
-    idx, loops = composition_table(a.shape)
+    table = np.frombuffer(composition_table(a.shape), dtype=np.int32)
     count = len(space.by_idx)
-    table_idx = np.frombuffer(idx, dtype=np.int32).reshape(count, count)
-    table_loops = np.frombuffer(loops, dtype=np.int8).reshape(count, count)
 
     def split(element):
         den, cleared = element._cleared_form()
@@ -270,18 +260,17 @@ def _mul_elements_dense(a: AlgebraElement, b: AlgebraElement, space) -> AlgebraE
     ia, la, nums_a, den_a = split(a)
     ib, lb, nums_b, den_b = split(b)
     kb = len(nums_b)
-    grid = np.ix_(ia, ib)
-    # pack (numerator pair, result diagram, loops) into one integer per cell
-    cell = (la[:, None] * kb + lb[None, :]) * (len(space.by_idx) << 3)
-    cell = cell + (table_idx[grid].astype(np.int64) << 3) + table_loops[grid]
+    # one int64 per cell: numerator pair * span + the table's packed entry
+    span = count << 8
+    assert len(nums_a) * kb * span < 2**63, "dense cell key overflows int64"
+    cell = (la[:, None] * kb + lb[None, :]) * span + table[ia[:, None] * count + ib]
     uniq, counts = np.unique(cell.ravel(), return_counts=True)
 
-    span = len(space.by_idx) << 3
     products: dict = {}
     acc: dict = {}
     for key, count in zip(uniq.tolist(), counts.tolist()):
-        group, rem = divmod(key, span)
-        dd, loops = rem >> 3, rem & 7
+        group, hit = divmod(key, span)
+        dd, loops = hit >> 8, hit & 0xFF
         pk = (group, loops)
         num = products.get(pk)
         if num is None:

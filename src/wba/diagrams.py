@@ -19,8 +19,8 @@ row; the algebra layer turns each loop into a factor of the parameter d.
 Diagrams are interned per shape, in a table that is never emptied, so equal
 diagrams are one object: a diagram hashes and compares by identity, at C
 speed, and copies and pickles go back through make_diagram to the interned
-object.  Compositions are memoized per shape, in a memo that empties itself
-at the scalar memos' size limit.
+object.  Each shape keeps its compositions in one packed layout: a memo that
+empties itself at the scalar memos' size limit and, once built, a table.
 """
 
 from __future__ import annotations
@@ -117,19 +117,47 @@ class WalledDiagram:
         return f"WalledDiagram({self.shape.r},{self.shape.s},{list(self.img)})"
 
 
+# dense tables stay affordable up to six sites (720^2 entries)
+_TABLE_MAX_SITES = 6
+
+
+class _ComposeMemo(dict):
+    """A shape's composition memo, in the table's layout: key u * stride + l
+    maps to the composition of by_idx[u] above by_idx[l] as result index
+    << 8 | loops.  A missing key is composed on the spot and stored; the memo
+    empties itself at the scalar memos' size limit."""
+
+    __slots__ = ("by_idx", "stride")
+
+    def __init__(self, by_idx: list, stride: int):
+        self.by_idx = by_idx
+        self.stride = stride
+
+    def __missing__(self, key):
+        upper, lower = divmod(key, self.stride)
+        diagram, loops = compose(self.by_idx[upper], self.by_idx[lower])
+        assert loops < 1 << 8, "loop count overflows the composition value"
+        hit = diagram.idx << 8 | loops
+        _cache_put(self, key, hit)
+        return hit
+
+
 class _ShapeSpace:
-    """Per-shape interning state: diagrams, compose cache, dense table."""
+    """Per-shape interning state: diagrams, composition memo and table, which
+    share one layout."""
 
-    __slots__ = ("by_img", "by_idx", "cache", "table")
+    __slots__ = ("by_img", "by_idx", "stride", "cache", "table")
 
-    def __init__(self):
+    def __init__(self, n: int):
         # never emptied: diagrams hash and compare by identity, so a second
         # object for an img would be a second, unequal key
         # (perfbench/make_expected.py's cold() empties only cache and table)
         self.by_img: dict = {}
         self.by_idx: list = []
-        self.cache: dict = {}
-        # row-major result indices array('i') and loop counts array('b')
+        # n! up to six sites, so memo and table keys coincide; never n! of a
+        # large shape, whose indices make_diagram bounds instead
+        self.stride = math.factorial(n) if n <= _TABLE_MAX_SITES else 1 << 24
+        self.cache = _ComposeMemo(self.by_idx, self.stride)
         self.table = None
 
 
@@ -140,7 +168,7 @@ def _shape_entry(shape: Shape) -> _ShapeSpace:
     key = (shape.r, shape.s)
     entry = _REGISTRY.get(key)
     if entry is None:
-        entry = _ShapeSpace()
+        entry = _ShapeSpace(shape.n)
         _REGISTRY[key] = entry
     return entry
 
@@ -179,8 +207,8 @@ def make_diagram(shape: Shape, img) -> WalledDiagram:
     n = shape.n
     if len(img) != n or sorted(img) != list(range(1, n + 1)):
         raise IndexOutOfRange(f"img {img} is not a permutation of 1..{n}")
-    # compose-cache keys pack an index into the low 24 bits
-    assert len(by_idx) < 1 << 24, "diagram index overflows the compose-cache key"
+    # a composition key is upper.idx * stride + lower.idx
+    assert len(by_idx) < space.stride, "diagram index overflows the composition key"
     d = object.__new__(WalledDiagram)
     object.__setattr__(d, "shape", shape)
     object.__setattr__(d, "img", img)
@@ -227,18 +255,9 @@ class CompositionResult(NamedTuple):
 
 def compose(upper: WalledDiagram, lower: WalledDiagram) -> CompositionResult:
     """Stack upper above lower; return the resulting diagram and loop count."""
-    shape = upper.shape
-    if shape != lower.shape:
+    if upper.shape != lower.shape:
         raise ShapeMismatch(f"cannot compose shapes {upper.shape} and {lower.shape}")
-    space = _shape_entry(shape)
-    key = (upper.idx << 24) | lower.idx
-    hit = space.cache.get(key)
-    if hit is not None:
-        return CompositionResult(space.by_idx[hit >> 8], hit & 0xFF)
-    diagram, loops = _compose_raw(upper, lower)
-    assert loops < 1 << 8, "loop count overflows the compose-cache value"
-    _cache_put(space.cache, key, (diagram.idx << 8) | loops)
-    return CompositionResult(diagram, loops)
+    return CompositionResult(*_compose_raw(upper, lower))
 
 
 def _compose_raw(upper: WalledDiagram, lower: WalledDiagram):
@@ -285,26 +304,23 @@ def _compose_raw(upper: WalledDiagram, lower: WalledDiagram):
     return make_diagram(shape, img), loops
 
 
-# dense tables stay affordable up to six sites (720^2 entries)
-_TABLE_MAX_SITES = 6
-
-# the table stores result indices (below n!) as C ints, which the dense
-# product reads as int32
-assert math.factorial(_TABLE_MAX_SITES) < 1 << 31
+# the table packs result index << 8 | loops (below 6! and 6) into C ints,
+# which the dense product reads as int32
+assert math.factorial(_TABLE_MAX_SITES) << 8 < 2**31
 assert array("i").itemsize == 4
 
 
 def composition_table(shape: Shape):
-    """The full composition table of a small shape as flat row-major arrays
-    (result index 'i', loop count 'b'), built once and cached; None when the
+    """The full composition table of a small shape as one flat row-major
+    array('i') in the memo's layout, built once and cached; None when the
     shape is too large to tabulate.
 
-    Entry u*N + l, for N diagrams, is the composition of by_idx[u] above
-    by_idx[l].  Each transposition g (every s_{i,k} and d_{i,k}) acts on the
-    left of every diagram x through `_compose_raw`, the single-pair oracle:
-    g∘x is diagram act[x] and closes closes[x] loops.  If g∘a = b closes no
-    loop, then b∘x = g∘(a∘x) and b∘x closes the loops of a∘x plus those g
-    closes on a∘x, so row b is row a mapped through g's action.  A
+    Entry u*N + l, for N diagrams, is by_idx[u] above by_idx[l], packed as
+    result index << 8 | loops.  Each transposition g (every s_{i,k} and
+    d_{i,k}) acts on the left of every diagram x through `_compose_raw`, the
+    single-pair oracle, and step[x] packs g∘x the same way.  If g∘a = b
+    closes no loop, then b∘x = g∘(a∘x) and b∘x closes the loops of a∘x plus
+    those g closes on a∘x, so row b is row a mapped through g's action.  A
     breadth-first walk from the identity row along loop-free edges fills
     every row: every diagram is a word in the transpositions that closes no
     loop, and loops once closed are never undone, so every prefix of that
@@ -320,44 +336,38 @@ def composition_table(shape: Shape):
         pass
     diagrams = space.by_idx
     count = len(diagrams)
-    actions = []
+    actions = []  # each transposition's step
     for i, k in itertools.combinations(range(1, shape.n + 1), 2):
         g = _transposition(shape, i, k)
-        act, closes = [], []
+        step = []
         for x in diagrams:
             gx, closed = _compose_raw(g, x)
-            act.append(gx.idx)
-            closes.append(closed)
-        actions.append((act, closes))
+            step.append(gx.idx << 8 | closed)
+        actions.append(step)
 
-    idx = array("i", [0]) * (count * count)
-    loops = array("b", [0]) * (count * count)
+    table = array("i", [0]) * (count * count)
     start = identity(shape).idx
+    table[start * count : (start + 1) * count] = array("i", [x << 8 for x in range(count)])
     reached = [False] * count
     reached[start] = True
-    pending = {start: (list(range(count)), [0] * count)}
-    walk = deque(pending)
+    walk = deque([start])
     while walk:
         a = walk.popleft()
-        row, row_loops = pending.pop(a)
-        idx[a * count : (a + 1) * count] = array("i", row)
-        loops[a * count : (a + 1) * count] = array("b", row_loops)
-        for act, closes in actions:
-            b = act[a]
-            if closes[a] or reached[b]:
+        row = table[a * count : (a + 1) * count].tolist()
+        for step in actions:
+            b, closed = step[a] >> 8, step[a] & 0xFF
+            if closed or reached[b]:
                 continue
             reached[b] = True
-            pending[b] = (
-                [act[x] for x in row],
-                [l + closes[x] for x, l in zip(row, row_loops)],
+            # g∘(a∘x): g's packed action on a∘x plus the loops a∘x closed
+            table[b * count : (b + 1) * count] = array(
+                "i", [step[hit >> 8] + (hit & 0xFF) for hit in row]
             )
             walk.append(b)
     assert all(reached), f"the loop-free walk missed a row of shape {shape}"
 
-    # the dense product packs loop counts into 3 bits
-    assert max(loops) < 8
-    space.table = (idx, loops)
-    return space.table
+    space.table = table
+    return table
 
 
 def vertical_flip(x: WalledDiagram) -> WalledDiagram:

@@ -18,7 +18,7 @@ import random
 import time
 from typing import NamedTuple
 
-from .algebra import _DENSE_PAIR_THRESHOLD, AlgebraElement, iota, jm_element
+from .algebra import AlgebraElement, iota, jm_element
 from .diagrams import Shape, composition_table
 from .errors import CancellationFailure, ZeroDenominator
 from .fusion import (
@@ -163,12 +163,11 @@ class CertReport:
 def certify_tableau(
     t: WalledTableau,
     e: AlgebraElement,
-    include_interp: bool = True,
-    include_second: bool = True,
+    cross_check: bool = True,
     h: DeltaScalar = DEFAULT_H,
 ) -> TableauCert:
     """Certify the idempotent e of the path t: idempotency, the JM spectrum on
-    both sides, flip invariance and, optionally, agreement with the
+    both sides, flip invariance and, with cross_check, agreement with the
     interpolation oracle and with both variants of the second procedure."""
     contents = t.contents()
     jm_ok = True
@@ -180,20 +179,20 @@ def certify_tableau(
             break
     idempotent = e * e == e
     iota_fixed = iota(e) == e
-    interp = interp_idempotent(t) == e if include_interp else None
-    fwd = mirror = None
-    if include_second:
+    interp = fwd = mirror = None
+    if cross_check:
+        interp = interp_idempotent(t) == e
         fwd = second_fusion_idempotent(t, h) == e
         mirror = second_fusion_idempotent(t, h, mirror=True) == e
     return TableauCert(t.moves_str(), idempotent, jm_ok, iota_fixed, interp, fwd, mirror)
 
 
-def check_system(shape: Shape, include_interp: bool = True, include_second: bool = True) -> CertReport:
+def check_system(shape: Shape, cross_check: bool = True) -> CertReport:
     """Certify the complete idempotent system of a shape."""
-    return _system_report(shape, include_interp, include_second)[0]
+    return _system_report(shape, cross_check)[0]
 
 
-def _system_report(shape: Shape, include_interp: bool, include_second: bool):
+def _system_report(shape: Shape, cross_check: bool):
     """check_system's report and the fused idempotents, in enumeration order."""
     report = CertReport(shape.r, shape.s)
     t0 = time.perf_counter()
@@ -202,10 +201,9 @@ def _system_report(shape: Shape, include_interp: bool, include_second: bool):
     report.timings["fusion"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if max(len(e.terms) for e in elements) ** 2 >= _DENSE_PAIR_THRESHOLD:
-        composition_table(shape)  # the sweeps below share it
+    composition_table(shape)  # the sweeps below share it
     for t, e in zip(tableaux, elements):
-        report.tableaux.append(certify_tableau(t, e, include_interp, include_second))
+        report.tableaux.append(certify_tableau(t, e, cross_check))
     report.timings["per_tableau"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -416,7 +414,7 @@ def full_report(shape: Shape, seed: int = 0, suite: str = "all") -> CertReport:
     """Assemble the report the CLI emits; suite selects which sections run."""
     idempotents = None
     if suite in ("all", "system"):
-        report, idempotents = _system_report(shape, True, True)
+        report, idempotents = _system_report(shape, True)
     else:
         report = CertReport(shape.r, shape.s)
     if suite in ("all", "lemmas"):

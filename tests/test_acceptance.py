@@ -67,7 +67,7 @@ def test_criterion_1_golden_idempotent():
 
 
 def _certify_complete_system(r, s):
-    report = check_system(Shape(r, s), include_interp=False, include_second=False)
+    report = check_system(Shape(r, s), cross_check=False)
     assert report.ok, report.to_json()
     return report
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wba.algebra as algebra
+import wba.diagrams as diagrams_module
 from wba.algebra import (
     AlgebraElement,
     element_from_json,
@@ -241,6 +242,23 @@ def test_dense_product_over_the_table_is_the_sparse_product(monkeypatch, shape):
     space = _shape_entry(shape)
     assert algebra._mul_elements_dense(e, e, space) == square
     assert algebra._mul_elements_dense(e, f, space) == cross
+
+
+def test_sparse_product_reads_the_built_table(monkeypatch):
+    # below the dense threshold a product stays sparse; once the shape's
+    # table is built it takes every composition from there and composes none
+    shape = Shape(2, 2)
+    e, f = (fusion_idempotent(t) for t in enumerate_tableaux(shape)[:2])
+    assert len(e.terms) * len(f.terms) < algebra._DENSE_PAIR_THRESHOLD
+    composition_table(shape)
+    _shape_entry(shape).cache.clear()
+
+    def refuse(upper, lower):
+        raise AssertionError("composed a pair the table holds")
+
+    monkeypatch.setattr(diagrams_module, "_compose_raw", refuse)
+    assert e * e == e
+    assert e * f == AlgebraElement.zero(shape)
 
 
 @pytest.fixture

@@ -189,6 +189,14 @@ def test_loops_bounded_by_min_side():
     assert compose(top, top).loops == 2
 
 
+def memo_entry(a, b):
+    """The composition of a above b, read through the shape's memo, which
+    composes and stores a missing pair."""
+    space = _shape_entry(a.shape)
+    hit = space.cache[a.idx * space.stride + b.idx]
+    return space.by_idx[hit >> 8], hit & 0xFF
+
+
 def test_compose_memo_is_bounded(monkeypatch):
     # the memo empties itself at the scalar memos' limit, and what it returns
     # after a clear is still the composition
@@ -199,10 +207,10 @@ def test_compose_memo_is_bounded(monkeypatch):
     largest = 0
     for a in diagrams:
         for b in diagrams:
-            got = compose(a, b)
+            got = memo_entry(a, b)
             largest = max(largest, len(cache))
-            assert (got.diagram, got.loops) == _compose_raw(a, b)
-    assert largest <= 65
+            assert got == _compose_raw(a, b)
+    assert 64 <= largest <= 65
 
 
 @pytest.fixture
@@ -212,16 +220,16 @@ def fresh_registry(monkeypatch):
 
 
 def assert_table_is_the_composition(shape):
-    """Every entry of the shape's table is `_compose_raw` of its pair."""
-    idx, loops = composition_table(shape)
+    """Every entry of the shape's table is `_compose_raw` of its pair, packed
+    as result index << 8 | loops."""
+    table = composition_table(shape)
     diagrams = _shape_entry(shape).by_idx
     count = len(diagrams)
-    assert idx.typecode == "i" and loops.typecode == "b"
-    assert len(idx) == len(loops) == count * count
+    assert table.typecode == "i"
+    assert len(table) == count * count == _shape_entry(shape).stride ** 2
     for u, a in enumerate(diagrams):
-        want = [_compose_raw(a, b) for b in diagrams]
-        assert idx[u * count : (u + 1) * count].tolist() == [d.idx for d, _ in want]
-        assert loops[u * count : (u + 1) * count].tolist() == [closed for _, closed in want]
+        want = [d.idx << 8 | closed for d, closed in (_compose_raw(a, b) for b in diagrams)]
+        assert table[u * count : (u + 1) * count].tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -241,6 +249,20 @@ def test_composition_table_matches_compose_raw_on_six_sites(fresh_registry, r):
     assert_table_is_the_composition(Shape(r, 6 - r))
 
 
+def test_composition_table_agrees_with_the_full_memo(fresh_registry):
+    # memo and table share one key and value layout, entry for entry
+    shape = Shape(2, 3)
+    list(all_diagrams(shape))
+    space = _shape_entry(shape)
+    keys = range(space.stride**2)
+    for key in keys:
+        space.cache[key]
+    memo = dict(space.cache)
+    assert len(memo) == 120 * 120
+    table = composition_table(shape)
+    assert [memo[key] for key in keys] == table.tolist()
+
+
 def test_composition_table_follows_the_interning_order(fresh_registry):
     # a few generators, then every diagram in reverse lexicographic order, so
     # by_idx is far from the order all_diagrams interns; the table must follow
@@ -254,8 +276,8 @@ def test_composition_table_follows_the_interning_order(fresh_registry):
     assert space.by_idx[3].img == (5, 4, 3, 2, 1)
     for a in first:
         for b in space.by_idx[:10]:
-            compose(a, b)
+            memo_entry(a, b)
     memo = dict(space.cache)
+    assert len(memo) == 30
     assert_table_is_the_composition(shape)
     assert space.cache == memo
-
