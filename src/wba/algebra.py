@@ -63,11 +63,11 @@ class AlgebraElement:
 
     @classmethod
     def zero(cls, shape: Shape) -> "AlgebraElement":
-        return cls(shape, {})
+        return _element(shape, {})
 
     @classmethod
     def one(cls, shape: Shape) -> "AlgebraElement":
-        return cls(shape, {identity(shape): ONE})
+        return _element(shape, {identity(shape): ONE})
 
     @classmethod
     def from_diagram(cls, d: WalledDiagram, coeff=ONE) -> "AlgebraElement":
@@ -96,11 +96,16 @@ class AlgebraElement:
         out = dict(self.terms)
         for d, c in other.terms.items():
             prev = out.get(d)
-            out[d] = c if prev is None else prev + c
-        return AlgebraElement(self.shape, out)
+            if prev is None:
+                out[d] = c
+            elif (total := prev + c) is ZERO:
+                del out[d]
+            else:
+                out[d] = total
+        return _element(self.shape, out)
 
     def __neg__(self):
-        return AlgebraElement(self.shape, {d: -c for d, c in self.terms.items()})
+        return _element(self.shape, {d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -109,14 +114,19 @@ class AlgebraElement:
         out = dict(self.terms)
         for d, c in other.terms.items():
             prev = out.get(d)
-            out[d] = -c if prev is None else prev - c
-        return AlgebraElement(self.shape, out)
+            if prev is None:
+                out[d] = -c
+            elif (total := prev - c) is ZERO:
+                del out[d]
+            else:
+                out[d] = total
+        return _element(self.shape, out)
 
     def scale(self, c) -> "AlgebraElement":
         c = _scalar(c)
         if c is ZERO:
             return AlgebraElement.zero(self.shape)
-        return AlgebraElement(self.shape, {d: a * c for d, a in self.terms.items()})
+        return _element(self.shape, {d: a * c for d, a in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -138,6 +148,17 @@ class AlgebraElement:
         return "AlgebraElement(" + " + ".join(bits) + ")"
 
 
+def _element(shape: Shape, terms: dict) -> AlgebraElement:
+    """The element with these terms, which the caller hands over and which
+    hold no zero coefficient; the arithmetic builds its results here, without
+    the public constructor's filtering copy."""
+    e = object.__new__(AlgebraElement)
+    e.shape = shape
+    e.terms = terms
+    e._cleared = None
+    return e
+
+
 def _scalar(c) -> DeltaScalar:
     """An int, a Fraction or a DeltaScalar as a DeltaScalar; a float or a
     string is refused, so no floating point enters an element."""
@@ -152,7 +173,7 @@ def _scalar(c) -> DeltaScalar:
 # only a product of at least _DENSE_ONE_OFF_PAIRS pairs pays for tabulating
 # the shape (plain Python, about 0.1 s at six sites) and for importing numpy,
 # which only the dense path loads; callers that make many large products
-# build the table first, as verify._system_report does.  One-off `wba mul`
+# build the table first, as verify.check_system does.  One-off `wba mul`
 # processes on a 2-core machine, CPU s and peak RSS MiB, sparse against
 # dense (medians of 3): (4,1), 120 x 120 idempotents, 0.17 / 18 against
 # 0.19 / 30; (3,3) idempotents cut to their first k terms, 181 x 181,
@@ -217,15 +238,17 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     sums: dict = {}
     for idx, bucket in buckets.items():
         if len(bucket) == 1:
-            acc = scalar_linear_combination(bucket.items())
-        else:
-            key = frozenset(bucket.items())
-            acc = sums.get(key)
-            if acc is None:
-                acc = sums[key] = scalar_linear_combination(bucket.items())
+            # a product of nonzero scalars, so never zero
+            ((c, k),) = bucket.items()
+            out[by_idx[idx]] = c if k == 1 else c * k
+            continue
+        key = frozenset(bucket.items())
+        acc = sums.get(key)
+        if acc is None:
+            acc = sums[key] = scalar_linear_combination(bucket.items())
         if acc is not ZERO:
             out[by_idx[idx]] = acc
-    return AlgebraElement(shape, out)
+    return _element(shape, out)
 
 
 def _mul_elements_dense(a: AlgebraElement, b: AlgebraElement, space) -> AlgebraElement:
@@ -288,7 +311,7 @@ def _mul_elements_dense(a: AlgebraElement, b: AlgebraElement, space) -> AlgebraE
     for idx, num in acc.items():
         if num:
             out[space.by_idx[idx]] = DeltaScalar.make(num, den)
-    return AlgebraElement(a.shape, out)
+    return _element(a.shape, out)
 
 
 def sorted_terms(a: AlgebraElement):
@@ -297,7 +320,7 @@ def sorted_terms(a: AlgebraElement):
 
 def iota(a: AlgebraElement) -> AlgebraElement:
     """The flip anti-automorphism: reverse products, fix every generator."""
-    return AlgebraElement(a.shape, {vertical_flip(d): c for d, c in a.terms.items()})
+    return _element(a.shape, {vertical_flip(d): c for d, c in a.terms.items()})
 
 
 def jm_element(shape: Shape, k: int) -> AlgebraElement:

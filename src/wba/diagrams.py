@@ -316,15 +316,17 @@ def composition_table(shape: Shape):
     shape is too large to tabulate.
 
     Entry u*N + l, for N diagrams, is by_idx[u] above by_idx[l], packed as
-    result index << 8 | loops.  Each transposition g (every s_{i,k} and
-    d_{i,k}) acts on the left of every diagram x through `_compose_raw`, the
+    result index << 8 | loops.  Each adjacent generator g (the crossings
+    s_i, i != r, and the contraction d_{r,r+1}: the transpositions of i and
+    i + 1) acts on the left of every diagram x through `_compose_raw`, the
     single-pair oracle, and step[x] packs g∘x the same way.  If g∘a = b
     closes no loop, then b∘x = g∘(a∘x) and b∘x closes the loops of a∘x plus
     those g closes on a∘x, so row b is row a mapped through g's action.  A
     breadth-first walk from the identity row along loop-free edges fills
-    every row: every diagram is a word in the transpositions that closes no
-    loop, and loops once closed are never undone, so every prefix of that
-    word closes none either.  The walk asserts that it reached every row.
+    every row: every diagram is a loop-free word in the adjacent
+    generators, and loops once closed are never undone, so every prefix of
+    that word closes none either.  The walk asserts that it reached every
+    row.
     """
     space = _shape_entry(shape)
     if space.table is not None:
@@ -336,9 +338,9 @@ def composition_table(shape: Shape):
         pass
     diagrams = space.by_idx
     count = len(diagrams)
-    actions = []  # each transposition's step
-    for i, k in itertools.combinations(range(1, shape.n + 1), 2):
-        g = _transposition(shape, i, k)
+    actions = []  # each adjacent generator's step
+    for i in range(1, shape.n):
+        g = _transposition(shape, i, i + 1)
         step = []
         for x in diagrams:
             gx, closed = _compose_raw(g, x)

@@ -205,14 +205,60 @@ def _evaluate_step_info(e_prev, factors, k: int, z, c, h=None, multiply_left=Fal
     return coeffs[depth].scale(lead.inverse()), m
 
 
+# The path memo.  The element after step k depends only on the shape and the
+# contents of steps 1..k (and a minimal run's exponents up to k), so paths
+# with a common prefix share it.  Key: (shape, contents[:k], None or the
+# after-wall exponents up to k); value: (element, pole orders of steps
+# 2..k).  A step that raises CancellationFailure is never stored.
+
+# at 7 sites one element has up to 5 040 terms; every prefix of (3,3), 118
+# elements with 28 532 terms, fits many times over
+_PATH_MEMO_TERMS = 1 << 18
+
+
+class _PathMemo(dict):
+    """The path memo; it empties itself when an entry would take it past
+    _PATH_MEMO_TERMS terms."""
+
+    terms = 0
+
+    def clear(self):
+        super().clear()
+        self.terms = 0
+
+    def put(self, key, value):
+        if self.terms + len(value[0].terms) > _PATH_MEMO_TERMS:
+            self.clear()
+        self[key] = value
+        self.terms += len(value[0].terms)
+
+
+_PATHS = _PathMemo()
+
+
+def _consecutive(shape: Shape, contents, upto: int, p=None) -> tuple:
+    """The element after step `upto` of the first procedure or, with the
+    exponents p, of a minimal-prefactor run, and the pole orders of steps
+    2..upto; starts from the longest memoized prefix."""
+    contents, r = tuple(contents), shape.r
+    keys = [(shape, contents[:k], None if p is None else tuple(p[r:k])) for k in range(upto + 1)]
+    start = next((k for k in range(upto, 1, -1) if keys[k] in _PATHS), 1)
+    e, orders = _PATHS[keys[start]] if start > 1 else (AlgebraElement.one(shape), ())
+    for k in range(start + 1, upto + 1):
+        c = contents[k - 1]
+        if p is None:
+            z = step_prefactor(shape, contents, k)
+        else:
+            z = _minimal_step_prefactor(c, p[k - 1] if k > r else 0)
+        e, m = _evaluate_step_info(e, _step_factors(shape, contents, k), k, z, c)
+        orders += (m,)
+        _PATHS.put(keys[k], (e, orders))
+    return e, orders
+
+
 def fuse_contents(shape: Shape, contents, upto=None) -> AlgebraElement:
     """Consecutive evaluation over the first `upto` steps (all by default)."""
-    n = len(contents) if upto is None else upto
-    e = AlgebraElement.one(shape)
-    for k in range(2, n + 1):
-        z = step_prefactor(shape, contents, k)
-        e = _evaluate_step_info(e, _step_factors(shape, contents, k), k, z, contents[k - 1])[0]
-    return e
+    return _consecutive(shape, contents, len(contents) if upto is None else upto)[0]
 
 
 def fusion_idempotent(t: WalledTableau) -> AlgebraElement:
@@ -262,32 +308,25 @@ def leftover_prefactor_value(shape: Shape, contents, p) -> DeltaScalar:
     return total
 
 
-def fusion_with_minimal_prefactor(t: WalledTableau, override_exponents=None, reference=None):
+def fusion_with_minimal_prefactor(t: WalledTableau, override_exponents=None):
     """Run the fusion with only the exponent-dictated prefactor factors.
 
     Returns (element, diagnostics).  With override_exponents (a dict step -> p)
     the run becomes a negative control: withholding a required factor makes
-    the engine raise CancellationFailure.  reference is the idempotent of t
-    when the caller has already fused it; otherwise it is fused here.
+    the engine raise CancellationFailure.
     """
     shape, contents = t.shape, t.contents()
-    r, n = shape.r, shape.n
     p = list(exponents(t))
     if override_exponents:
         for k, pk in override_exponents.items():
             p[k - 1] = pk
-    steps = []
-    e = AlgebraElement.one(shape)
-    for k in range(2, n + 1):
-        pk = p[k - 1] if k > r else 0
-        z = _minimal_step_prefactor(contents[k - 1], pk)
-        e, m = _evaluate_step_info(e, _step_factors(shape, contents, k), k, z, contents[k - 1])
-        steps.append(MinimalStep(k, pk, m))
+    e, orders = _consecutive(shape, contents, shape.n, p)
+    steps = tuple(
+        MinimalStep(k, p[k - 1] if k > shape.r else 0, m) for k, m in enumerate(orders, 2)
+    )
     leftover = leftover_prefactor_value(shape, contents, p)
-    if reference is None:
-        reference = fusion_idempotent(t)
-    matches = e.scale(leftover) == reference
-    return e, MinimalDiagnostics(tuple(steps), e.is_zero, leftover, matches)
+    matches = e.scale(leftover) == fusion_idempotent(t)
+    return e, MinimalDiagnostics(steps, e.is_zero, leftover, matches)
 
 
 # Second fusion procedure.

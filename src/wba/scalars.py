@@ -415,8 +415,8 @@ def scalar_linear_combination(items) -> DeltaScalar:
     arithmetic, so the expensive gcd canonicalization runs once for the whole
     sum instead of once per addition, and each lcm step and rescale factor
     once per distinct denominator.  The sparse algebra product sums each
-    output diagram's bucket with it; the dense product, which the large
-    orthogonality sweeps use, does not call it.
+    output diagram's bucket of two or more values with it; the dense
+    product, which the large orthogonality sweeps use, does not call it.
     """
     items = [(c, k) for c, k in items if k and c.num]
     if not items:

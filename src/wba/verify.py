@@ -189,11 +189,6 @@ def certify_tableau(
 
 def check_system(shape: Shape, cross_check: bool = True) -> CertReport:
     """Certify the complete idempotent system of a shape."""
-    return _system_report(shape, cross_check)[0]
-
-
-def _system_report(shape: Shape, cross_check: bool):
-    """check_system's report and the fused idempotents, in enumeration order."""
     report = CertReport(shape.r, shape.s)
     t0 = time.perf_counter()
     tableaux = enumerate_tableaux(shape)
@@ -228,7 +223,7 @@ def _system_report(shape: Shape, cross_check: bool):
 
     spectra = [t.contents() for t in tableaux]
     report.spectra_distinct = len(set(spectra)) == len(spectra)
-    return report, elements
+    return report
 
 
 def check_factorization_identity(shape: Shape, seed: int = 0, points: int = 3) -> dict:
@@ -373,22 +368,16 @@ def check_proof_lemmas(shape: Shape, seed: int = 0) -> dict:
     return out
 
 
-def check_exponents(shape: Shape, idempotents=None) -> dict:
+def check_exponents(shape: Shape) -> dict:
     """Minimal-prefactor runs for every tableau of the shape, plus three
-    negative controls that withhold one required factor and must fail.
-
-    idempotents, when given, are the fused idempotents of the shape's
-    tableaux in enumeration order, which the runs are compared against
-    instead of fusing each tableau again.
-    """
+    negative controls that withhold one required factor and must fail."""
     runs = 0
     ok = True
     zero_results = 0
     controls = 0
     controls_failed_as_expected = 0
-    tableaux = enumerate_tableaux(shape)
-    for t, reference in zip(tableaux, idempotents or [None] * len(tableaux)):
-        e, diag = fusion_with_minimal_prefactor(t, reference=reference)
+    for t in enumerate_tableaux(shape):
+        e, diag = fusion_with_minimal_prefactor(t)
         runs += 1
         ok = ok and diag.matches_idempotent
         zero_results += diag.result_is_zero
@@ -412,9 +401,8 @@ def check_exponents(shape: Shape, idempotents=None) -> dict:
 
 def full_report(shape: Shape, seed: int = 0, suite: str = "all") -> CertReport:
     """Assemble the report the CLI emits; suite selects which sections run."""
-    idempotents = None
     if suite in ("all", "system"):
-        report, idempotents = _system_report(shape, True)
+        report = check_system(shape)
     else:
         report = CertReport(shape.r, shape.s)
     if suite in ("all", "lemmas"):
@@ -427,6 +415,6 @@ def full_report(shape: Shape, seed: int = 0, suite: str = "all") -> CertReport:
         report.timings["identities"] = time.perf_counter() - t0
     if suite in ("all", "exponents"):
         t0 = time.perf_counter()
-        report.exponent_runs = check_exponents(shape, idempotents=idempotents)
+        report.exponent_runs = check_exponents(shape)
         report.timings["exponents"] = time.perf_counter() - t0
     return report

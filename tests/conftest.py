@@ -17,3 +17,13 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def fresh_paths(monkeypatch):
+    """An empty fusion path memo for the test, and the former memo back after
+    it.  A memoized element holds the diagrams of the registry it was fused
+    in, and an element fused under patched code must serve no other test."""
+    import wba.fusion as fusion
+
+    monkeypatch.setattr(fusion, "_PATHS", fusion._PathMemo())

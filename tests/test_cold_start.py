@@ -170,12 +170,18 @@ def test_certifying_subcommands_load_no_introspection(argv):
     assert not modules & INTROSPECTION
 
 
-def test_one_off_large_product_stays_off_numpy():
+def test_one_off_large_product_stays_off_numpy(monkeypatch):
     # a single (4,1) product of two full idempotents (14 400 term pairs) is
     # cheaper on the sparse path than importing numpy and tabulating the shape
     shape = Shape(4, 1)
     a, b = full_idempotents(shape)
-    dense = algebra._mul_elements_dense(a, b, _shape_entry(shape))
+    space = _shape_entry(shape)
+    before = space.table
+    with monkeypatch.context() as restore:
+        # the dense oracle builds the table; later tests must not find it
+        restore.setattr(space, "table", before)
+        dense = algebra._mul_elements_dense(a, b, space)
+    assert space.table is before
     want = json.dumps(element_to_json(dense), indent=2) + "\n"
 
     stdin = json.dumps([element_to_json(a), element_to_json(b)])

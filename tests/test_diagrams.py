@@ -214,8 +214,9 @@ def test_compose_memo_is_bounded(monkeypatch):
 
 
 @pytest.fixture
-def fresh_registry(monkeypatch):
-    """An empty diagram registry, so each shape's table is built anew."""
+def fresh_registry(monkeypatch, fresh_paths):
+    """An empty diagram registry, so each shape's table is built anew, and an
+    empty path memo, whose elements hold diagrams of the former registry."""
     monkeypatch.setattr(diagrams_module, "_REGISTRY", {})
 
 

@@ -74,8 +74,9 @@ def _runs(t) -> dict:
 
 
 def _outcome(run, step):
-    """run() with step in place of the engine's; a CancellationFailure
-    becomes the number of steps taken and its message."""
+    """run() with step in place of the engine's, from an empty path memo that
+    is dropped afterwards, so that step computes every element; a
+    CancellationFailure becomes the number of steps taken and its message."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -83,6 +84,7 @@ def _outcome(run, step):
         return step(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "_PATHS", fusion._PathMemo())
         mp.setattr(fusion, "_evaluate_step_info", counted)
         try:
             return run()

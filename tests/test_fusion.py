@@ -450,7 +450,7 @@ def test_identity_battery_instances(shape):
 
 
 @pytest.mark.parametrize("shape", list(BATTERY_SITES))
-def test_identity_battery_fails_on_a_flipped_contraction(monkeypatch, shape):
+def test_identity_battery_fails_on_a_flipped_contraction(monkeypatch, fresh_paths, shape):
     # d-factors become 1 + g/arg: every identity with a contraction in it
     # fails, except the commutation of factors on disjoint sites
     import wba.fusion as fusion
@@ -468,9 +468,10 @@ def test_identity_battery_fails_on_a_flipped_contraction(monkeypatch, shape):
     assert not report["all_pass"]
 
 
-def test_fusion_steps_stay_sparse(monkeypatch):
+def test_fusion_steps_stay_sparse(monkeypatch, fresh_paths):
     # each fold step multiplies by one diagram at a time; the vectorized
     # path for large products must never run while fusing a 5-site path
+    # (from an empty path memo, so that every step runs)
     import wba.algebra as algebra
 
     calls = []

@@ -6,7 +6,7 @@ import pytest
 import wba.verify as verify
 from wba.algebra import AlgebraElement, sorted_terms
 from wba.diagrams import Shape
-from wba.fusion import fuse_contents, fusion_idempotent
+from wba.fusion import _step_factors, fuse_contents, fusion_idempotent, step_prefactor
 from wba.scalars import DELTA, ONE, affine
 from wba.tableaux import enumerate_tableaux, parse_tableau
 from wba.verify import (
@@ -172,7 +172,7 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @pytest.mark.parametrize("shape", [S11, Shape(2, 1), Shape(1, 2), S22, Shape(3, 1)])
-def test_lemmas_fail_on_a_mutated_factor(monkeypatch, shape, mutation):
+def test_lemmas_fail_on_a_mutated_factor(monkeypatch, fresh_paths, shape, mutation):
     # the lemmas see the first factor of every spec with its content
     # shifted or its slope flipped; the idempotents they start from do not
     linear_factors = verify._linear_factors
@@ -206,26 +206,32 @@ def test_check_exponents_with_negative_controls():
     assert out["zero_results"] == 0
 
 
-def test_full_report_fuses_each_tableau_once(monkeypatch):
+def test_full_report_fuses_each_tableau_once(monkeypatch, fresh_paths):
+    # the lemma suites, the second procedure's stage up to r and the
+    # minimal runs' reference fusions are served from the path memo
     import wba.fusion as fusion
-    import wba.verify as verify
+
+    def signature(shape, factors, k, z, c, h=None, multiply_left=False):
+        return shape, k, tuple(factors), tuple(map(tuple, z)), c, h, multiply_left
 
     calls = []
-    original = fusion.fusion_idempotent
+    evaluate = fusion._evaluate_step_info
 
-    def counted(t, *args, **kwargs):
-        calls.append(t)
-        return original(t, *args, **kwargs)
+    def counted(e_prev, *args):
+        calls.append(signature(e_prev.shape, *args))
+        return evaluate(e_prev, *args)
 
-    monkeypatch.setattr(fusion, "fusion_idempotent", counted)
-    monkeypatch.setattr(verify, "fusion_idempotent", counted)
+    monkeypatch.setattr(fusion, "_evaluate_step_info", counted)
     report = full_report(S22)
     assert report.ok and report.exponent_runs["runs"] == 10
-    assert len(calls) == 10
-    # a standalone exponent check still fuses for itself
-    calls.clear()
-    assert check_exponents(S22)["pass"]
-    assert len(calls) == 10
+    first = set()
+    for t in enumerate_tableaux(S22):
+        contents = t.contents()
+        for k in range(2, S22.n + 1):
+            z = step_prefactor(S22, contents, k)
+            first.add(signature(S22, _step_factors(S22, contents, k), k, z, contents[k - 1]))
+    assert len(first) == 2 + 4 + 10
+    assert all(calls.count(step) == 1 for step in first)
 
 
 def test_prefix_fusion_matches_embedding():
