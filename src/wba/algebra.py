@@ -367,9 +367,15 @@ def element_from_json(obj) -> AlgebraElement:
     try:
         shape = Shape(_json_int(obj["r"]), _json_int(obj["s"]))
         terms = {}
+        # each distinct coefficient text is parsed once (an element has few
+        # over many terms); a value that is not a string goes to the parser
+        parsed: dict = {}
         for i, term in enumerate(obj["terms"]):
             d = make_diagram(shape, [_json_int(v) for v in term["diagram"]])
-            c = parse_scalar(term["coeff"])
+            text = term["coeff"]
+            c = parsed.get(text) if type(text) is str else parse_scalar(text)
+            if c is None:
+                c = parsed[text] = parse_scalar(text)
             if d in terms:
                 raise ParseError(f"duplicate diagram in term {i}")
             terms[d] = c

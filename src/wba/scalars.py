@@ -20,10 +20,29 @@ cofactors from exact division in Z[d], so no rational coefficient arises
 (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  Rational input
 is cleared to integers once, by the constructors.
 
+Every scalar is interned by one step, _coprime, which takes a numerator and
+denominator already coprime in Q[d] and normalizes only the joint integer
+content and the sign of the denominator.  DeltaScalar.make reaches it by a
+full gcd cancellation, and only inputs not known to be coprime go through
+make: the constructors, scalar_linear_combination, the dense product and the
+parser's atoms.  The field operations start from canonical operands, so they
+know in advance which factors can cancel, and take no gcd of their whole
+result (Knuth, *TAOCP* vol. 2, §4.5.1, on Henrici's rational arithmetic):
+  - a product (a/b)(c/e) cancels gcd(a, e) and gcd(c, b); a is coprime to b
+    and c to e, so no other factor of ac can divide be;
+  - a sum a/b + c/e divides by g = gcd(b, e), b = b'g and e = e'g, forms
+    t = ae' + cb' over b'e and cancels gcd(t, g) only: t is coprime to b'
+    (a is coprime to b, and e' to b') and likewise to e'.  When b = e this
+    is gcd(a + c, b);
+  - negation, inversion and squaring change no common factor, so they take
+    no gcd at all.
+A side of degree 0 is a unit of Q[d] and takes no gcd either.
+
 Binary operations are memoized in bounded caches keyed by the interned
 operands.  The multiplication loops of the diagram algebra hit these caches
 constantly, which is what makes exact certification of the larger shapes
-affordable.
+affordable.  Each interned scalar renders its text once and keeps it, since
+an element repeats few distinct coefficients over many terms.
 """
 
 from __future__ import annotations
@@ -195,14 +214,15 @@ class DeltaScalar:
     content 1 and den[-1] > 0.  Instances are immutable and safe to share
     freely.
 
-    Every instance comes from make, which interns it, so equal scalars are
-    one object: hashing and equality between scalars are identity.  Copies
-    and pickles go through make again and so return the interned object.
+    Every instance comes from the interning step that make and the field
+    operations share, so equal scalars are one object: hashing and equality
+    between scalars are identity.  Copies and pickles go through make again
+    and so return the interned object, with the text it keeps.
     A scalar equals the int or Fraction of its value, but hashes apart from
     it.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_text")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use DeltaScalar.make / from_int / poly constructors")
@@ -214,27 +234,13 @@ class DeltaScalar:
         if not den:
             raise DivisionByZero("scalar with zero denominator")
         if not num:
-            den = (1,)
-        else:
-            # a side of degree 0 is a unit of Q[d]: only the content is shared
-            if len(num) > 1 and len(den) > 1:
-                g = pgcd(num, den)
-                if len(g) > 1:
-                    num, den = pexquo(num, g), pexquo(den, g)
-            c = gcd(*num, *den)
-            if den[-1] < 0:
-                c = -c
-            if c != 1:
-                num = tuple([x // c for x in num])
-                den = tuple([x // c for x in den])
-        key = (num, den)
-        obj = _INTERN.get(key)
-        if obj is None:
-            obj = object.__new__(DeltaScalar)
-            object.__setattr__(obj, "num", num)
-            object.__setattr__(obj, "den", den)
-            _INTERN[key] = obj
-        return obj
+            return _coprime((), (1,))
+        # a side of degree 0 is a unit of Q[d]: only the content is shared
+        if len(num) > 1 and len(den) > 1:
+            g = pgcd(num, den)
+            if len(g) > 1:
+                num, den = pexquo(num, g), pexquo(den, g)
+        return _coprime(num, den)
 
     @staticmethod
     def from_int(k: int) -> "DeltaScalar":
@@ -291,10 +297,7 @@ class DeltaScalar:
         key = (self, other)
         r = _ADD.get(key)
         if r is None:
-            r = DeltaScalar.make(
-                padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-                pmul(self.den, other.den),
-            )
+            r = _sum(self.num, self.den, other.num, other.den)
             _cache_put(_ADD, key, r)
         return r
 
@@ -303,7 +306,7 @@ class DeltaScalar:
     def __neg__(self):
         r = _NEG.get(self)
         if r is None:
-            r = DeltaScalar.make(pneg(self.num), self.den)
+            r = _coprime(pneg(self.num), self.den)
             _cache_put(_NEG, self, r)
         return r
 
@@ -333,7 +336,10 @@ class DeltaScalar:
         key = (self, other)
         r = _MUL.get(key)
         if r is None:
-            r = DeltaScalar.make(pmul(self.num, other.num), pmul(self.den, other.den))
+            if self is other:
+                r = _coprime(pmul(self.num, self.num), pmul(self.den, self.den))
+            else:
+                r = _product(self.num, self.den, other.num, other.den)
             _cache_put(_MUL, key, r)
         return r
 
@@ -344,7 +350,7 @@ class DeltaScalar:
             raise DivisionByZero("inverse of zero scalar")
         r = _INV.get(self)
         if r is None:
-            r = DeltaScalar.make(self.den, self.num)
+            r = _coprime(self.den, self.num)
             _cache_put(_INV, self, r)
         return r
 
@@ -387,6 +393,67 @@ def _coerce(x):
     if isinstance(x, Fraction):
         return DeltaScalar.from_fraction(x)
     return NotImplemented
+
+
+def _coprime(num: Poly, den: Poly) -> DeltaScalar:
+    """The interned scalar num/den of trimmed polynomials already coprime in
+    Q[d], with den != 0 (and den = (1,) when num = ()): only the joint
+    integer content and the sign of den are left to normalize."""
+    c = gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = tuple([x // c for x in num])
+        den = tuple([x // c for x in den])
+    key = (num, den)
+    obj = _INTERN.get(key)
+    if obj is None:
+        obj = object.__new__(DeltaScalar)
+        object.__setattr__(obj, "num", num)
+        object.__setattr__(obj, "den", den)
+        object.__setattr__(obj, "_text", None)
+        _INTERN[key] = obj
+    return obj
+
+
+def _product(a: Poly, b: Poly, c: Poly, e: Poly) -> DeltaScalar:
+    """(a/b)(c/e) of two nonzero canonical scalars.  a is coprime to b and c
+    to e, so gcd(a, e) and gcd(c, b) are the only factors the product can
+    cancel; once they are divided out, ac and be are coprime."""
+    if len(a) > 1 and len(e) > 1:
+        g = pgcd(a, e)
+        if len(g) > 1:
+            a, e = pexquo(a, g), pexquo(e, g)
+    if len(c) > 1 and len(b) > 1:
+        g = pgcd(c, b)
+        if len(g) > 1:
+            c, b = pexquo(c, g), pexquo(b, g)
+    return _coprime(pmul(a, c), pmul(b, e))
+
+
+def _sum(a: Poly, b: Poly, c: Poly, e: Poly) -> DeltaScalar:
+    """a/b + c/e of two nonzero canonical scalars, by Henrici's method.
+
+    With g = gcd(b, e), b = b'g and e = e'g, the sum is t / (b'e) where
+    t = ae' + cb'.  t is coprime to b' (a is coprime to b and e' to b') and
+    to e', so gcd(t, g) is the only factor left to cancel.  Equal
+    denominators are the case g = b = e, b' = e' = 1."""
+    if b == e:
+        g, bq, t = b, (1,), padd(a, c)
+    else:
+        g = pgcd(b, e) if len(b) > 1 and len(e) > 1 else (1,)
+        if len(g) > 1:
+            bq, eq = pexquo(b, g), pexquo(e, g)
+        else:
+            bq, eq = b, e
+        t = padd(pmul(a, eq), pmul(c, bq))
+    if not t:
+        return ZERO
+    if len(g) > 1 and len(t) > 1:
+        h = pgcd(t, g)
+        if len(h) > 1:
+            t, e = pexquo(t, h), pexquo(e, h)
+    return _coprime(t, e if bq == (1,) else pmul(bq, e))
 
 
 ZERO = DeltaScalar.make(())
@@ -453,11 +520,22 @@ def affine(a, b=0) -> DeltaScalar:
 
 
 def scalar_str(x: DeltaScalar) -> str:
-    """Canonical text form with integer coefficients, e.g. '(2*d^2-3)/(d^2-d)'."""
-    num_s = pstr(x.num)
-    if x.den == (1,):
+    """Canonical text form with integer coefficients, e.g. '(2*d^2-3)/(d^2-d)'.
+
+    Built once per interned scalar and kept on it, since an element's
+    coefficients repeat across its terms."""
+    text = x._text
+    if text is None:
+        text = _render(x.num, x.den)
+        object.__setattr__(x, "_text", text)
+    return text
+
+
+def _render(num: Poly, den: Poly) -> str:
+    num_s = pstr(num)
+    if den == (1,):
         return num_s
-    den_s = pstr(x.den)
+    den_s = pstr(den)
     if any(ch in num_s for ch in "+*") or num_s.count("-") > (1 if num_s.startswith("-") else 0):
         num_s = f"({num_s})"
     if any(ch in den_s for ch in "+-*"):

@@ -28,7 +28,7 @@ from wba.diagrams import (
 )
 from wba.errors import ParseError, ShapeMismatch
 from wba.fusion import fusion_idempotent
-from wba.scalars import DELTA, ONE, ZERO, DeltaScalar
+from wba.scalars import DELTA, ONE, ZERO, DeltaScalar, parse_scalar
 from wba.tableaux import enumerate_tableaux
 from algebra_helpers import (
     commutator,
@@ -170,6 +170,35 @@ def test_json_parse_errors():
         element_from_json({"r": 1, "terms": []})
     with pytest.raises(ParseError):
         element_from_json({"r": 1, "s": 1, "terms": [{"diagram": [2, 1]}]})
+
+
+def test_json_parses_each_distinct_coefficient_once(monkeypatch):
+    # (4,1) tableau 0: 120 terms with 2 distinct coefficients
+    e = fusion_idempotent(enumerate_tableaux(Shape(4, 1))[0])
+    obj = element_to_json(e)
+    texts = {term["coeff"] for term in obj["terms"]}
+    assert len(obj["terms"]) == 120 and len(texts) == 2
+    original, calls = algebra.parse_scalar, []
+    monkeypatch.setattr(
+        algebra, "parse_scalar", lambda text: calls.append(text) or original(text)
+    )
+    assert element_from_json(obj) == e
+    assert sorted(calls) == sorted(texts)
+
+
+def test_json_reports_a_bad_late_term():
+    obj = element_to_json(fusion_idempotent(enumerate_tableaux(Shape(4, 1))[0]))
+    last = len(obj["terms"]) - 1
+    bad = "1/(d-"
+    with pytest.raises(ParseError) as direct:
+        parse_scalar(bad)
+    obj["terms"][last] = {"diagram": obj["terms"][last]["diagram"], "coeff": bad}
+    with pytest.raises(ParseError) as late:
+        element_from_json(obj)
+    assert str(late.value) == str(direct.value) and late.value.pos == direct.value.pos
+    obj["terms"][last] = dict(obj["terms"][0])
+    with pytest.raises(ParseError, match=f"^duplicate diagram in term {last}$"):
+        element_from_json(obj)
 
 
 def test_shape_mismatch_raises():

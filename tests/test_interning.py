@@ -78,6 +78,10 @@ def test_pickle_returns_the_interned_object(protocol):
     values = [ZERO, ONE, (DELTA**2 - 3) / (2 * DELTA + 1), s_pair(S22, 1, 2), identity(S22)]
     for x in values:
         assert pickle.loads(pickle.dumps(x, protocol)) is x
+    # the text a scalar keeps comes back with the interned object
+    for x in ((DELTA**3 - 7) / (5 * DELTA + 2), (DELTA - 5) / (3 * DELTA**2)):
+        text = scalars._render(x.num, x.den)
+        assert str(pickle.loads(pickle.dumps(x, protocol))) == text == str(x)
     shape = pickle.loads(pickle.dumps(Shape(3, 1), protocol))
     assert shape == Shape(3, 1) and hash(shape) == hash(Shape(3, 1))
 
@@ -86,6 +90,8 @@ def test_copies_return_the_interned_object():
     for x in ((DELTA - 1) / 3, s_pair(S22, 3, 4)):
         assert copy.copy(x) is x
         assert copy.deepcopy(x) is x
+    x = (DELTA**2 + 11) / (DELTA - 4)
+    assert str(copy.deepcopy(x)) == "(d^2+11)/(d-4)" == str(copy.copy(x)) == str(x)
     assert copy.deepcopy(S22) == S22 and copy.copy(S22) == S22
 
 

@@ -3,12 +3,16 @@
 `fraction_scalars` is the old kernel: long division over Q and a monic
 denominator.  On random rational numerators and denominators up to degree 5,
 canonicalization, the field operations and the text form must agree with it,
-and every scalar the kernel interns must be in canonical form.  The linear
-combinations of the product's sparse path must agree with repeated memoized
-addition.
+and every scalar the kernel interns must be in canonical form.  Each field
+operation cancels only the factors its canonical operands leave possible; on
+operand pairs built to share factors, it must return the very scalar that
+make gives for the naive numerator and denominator, also with every memo
+emptied.  The linear combinations of the product's sparse path must agree
+with repeated memoized addition.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from hypothesis import example, given, settings
@@ -16,7 +20,18 @@ from hypothesis import strategies as st
 
 import fraction_scalars as oracle
 import wba.scalars as scalars
-from wba.scalars import ZERO, DeltaScalar, pgcd, scalar_linear_combination, scalar_str
+from wba.scalars import (
+    DELTA,
+    ONE,
+    ZERO,
+    DeltaScalar,
+    padd,
+    pgcd,
+    pmul,
+    pneg,
+    scalar_linear_combination,
+    scalar_str,
+)
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.lists(coeffs, min_size=0, max_size=6).map(tuple)
@@ -127,6 +142,99 @@ def test_linear_combination_agrees_with_repeated_addition(case):
     assert_canonical(got)
     if cancels:
         assert got is ZERO
+
+
+def assert_text(x: DeltaScalar):
+    """The cached text is the uncached rendering, and the Fraction kernel's."""
+    text = scalar_str(x)
+    assert x._text is text
+    assert text == scalars._render(x.num, x.den)
+    as_fractions = (tuple(map(Fraction, x.num)), tuple(map(Fraction, x.den)))
+    assert text == oracle.scalar_str(oracle.make(*as_fractions))
+
+
+small_polys = st.lists(st.integers(-5, 5), max_size=4).map(tuple)
+small_dens = st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(any).map(tuple)
+int_dens = st.integers(-6, 6).filter(bool).map(lambda k: (k,))
+CONSTANTS = (ZERO, ONE, -ONE, DELTA)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two scalars whose numerators and denominators share factors in the ways
+    the cancellations of the field operations must find."""
+    n1, n2, d1, d2 = draw(small_polys), draw(small_polys), draw(small_dens), draw(small_dens)
+    kind = draw(st.sampled_from(
+        ["random", "shared", "common-den-factor", "equal-den", "int-den",
+         "negation", "inverse", "constant"]
+    ))
+    if kind == "shared":
+        # a numerator multiplied by the other denominator, on either side or both
+        side = draw(st.sampled_from(["left", "right", "both"]))
+        if side != "right":
+            n1 = pmul(n1, d2)
+        if side != "left":
+            n2 = pmul(n2, d1)
+    elif kind == "common-den-factor":
+        f = draw(small_dens)
+        d1, d2 = pmul(d1, f), pmul(d2, f)
+    elif kind == "equal-den":
+        d2 = d1
+    elif kind == "int-den":
+        d1, d2 = draw(int_dens), draw(st.one_of(int_dens, small_dens))
+    a, b = D(n1, d1), D(n2, d2)
+    if kind == "negation":
+        b = -a
+    elif kind == "inverse":
+        b = a.inverse() if a else ONE
+    elif kind == "constant":
+        a = draw(st.sampled_from(CONSTANTS))
+        b = draw(st.one_of(st.sampled_from(CONSTANTS), st.just(b)))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def ppow(p, k: int):
+    return reduce(pmul, [p] * k, (1,))
+
+
+def naive_results(a: DeltaScalar, b: DeltaScalar, k: int):
+    """(operation, result, naive numerator, naive denominator) for each
+    operation on a and b."""
+    out = [
+        ("+", a + b, padd(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den)),
+        ("-", a - b, padd(pmul(a.num, b.den), pneg(pmul(b.num, a.den))), pmul(a.den, b.den)),
+        ("*", a * b, pmul(a.num, b.num), pmul(a.den, b.den)),
+        ("neg", -a, pneg(a.num), a.den),
+    ]
+    if a:
+        out.append(("inverse", a.inverse(), a.den, a.num))
+    if a or k >= 0:
+        num, den = (a.num, a.den) if k >= 0 else (a.den, a.num)
+        out.append(("**", a**k, ppow(num, abs(k)), ppow(den, abs(k))))
+    return out
+
+
+def empty_memos():
+    for memo in (scalars._ADD, scalars._MUL, scalars._NEG, scalars._INV):
+        memo.clear()
+
+
+@settings(max_examples=500, deadline=None)
+@given(operand_pairs(), st.integers(-3, 3))
+@example((D((1,), (0, 1)), D((1,), (0, -1, 1))), 2)  # 1/d + 1/(d(d-1)) = 1/(d-1)
+@example((D((1, 1), (0, 2)), D((0, 3), (-1, 1))), -2)
+@example((D((-1, 1), (3,)), D((1,), (-3, 3))), 3)
+def test_operations_are_the_interned_naive_result(pair, k):
+    a, b = pair
+    for cold in (False, True):
+        if cold:
+            empty_memos()
+        for op, got, num, den in naive_results(a, b, k):
+            assert got is D(num, den), (op, cold)
+            assert_canonical(got)
+            assert_text(got)
+    assert_text(a)
+    assert_text(b)
 
 
 def test_every_interned_scalar_is_canonical():
