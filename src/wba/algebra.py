@@ -29,37 +29,17 @@ from .scalars import (
     ZERO,
     DeltaScalar,
     _coerce,
-    _den_lcm,
-    padd,
     parse_scalar,
-    pmul,
-    rescaled_numerator,
     scalar_linear_combination,
     scalar_str,
 )
 
 class AlgebraElement:
-    __slots__ = ("shape", "terms", "_cleared")
+    __slots__ = ("shape", "terms")
 
     def __init__(self, shape: Shape, terms: dict):
         self.shape = shape
         self.terms = {d: c for d, c in terms.items() if c is not ZERO}
-        self._cleared = None
-
-    def _cleared_form(self):
-        """Common denominator and per-diagram integer numerators; cached.
-
-        Putting every coefficient over one denominator keeps the dense product
-        loop on plain polynomial additions, with one canonicalization per
-        output diagram.
-        """
-        if self._cleared is None:
-            den = (1,)
-            for c in self.terms.values():
-                den = _den_lcm(den, c.den)
-            nums = {d: rescaled_numerator(c, den) for d, c in self.terms.items()}
-            self._cleared = (den, nums)
-        return self._cleared
 
     @classmethod
     def zero(cls, shape: Shape) -> "AlgebraElement":
@@ -155,7 +135,6 @@ def _element(shape: Shape, terms: dict) -> AlgebraElement:
     e = object.__new__(AlgebraElement)
     e.shape = shape
     e.terms = terms
-    e._cleared = None
     return e
 
 
@@ -168,25 +147,20 @@ def _scalar(c) -> DeltaScalar:
     return scalar
 
 
-# Product route.  Once a shape's composition table is built, a product of at
-# least _DENSE_PAIR_THRESHOLD term pairs takes the dense path.  Before that,
-# only a product of at least _DENSE_ONE_OFF_PAIRS pairs pays for tabulating
-# the shape (plain Python, about 0.1 s at six sites) and for importing numpy,
-# which only the dense path loads; callers that make many large products
-# build the table first, as verify.check_system does.  One-off `wba mul`
-# processes on a 2-core machine, CPU s and peak RSS MiB, sparse against
-# dense (medians of 3): (4,1), 120 x 120 idempotents, 0.17 / 18 against
-# 0.19 / 30; (3,3) idempotents cut to their first k terms, 181 x 181,
-# 0.34 / 20 against 0.43 / 35; 256 x 256 (2^16 pairs), 0.45 / 23 against
-# 0.45 / 35; 362 x 362, 0.92 / 30 against 0.48 / 37; 512 x 512, 1.78 / 44
-# against 0.45 / 40; 600 x 600, 2.14 / 68 against 0.41 / 41; 720 x 720,
-# 3.41 / 69 against 0.47 / 44.  No 5-site product reaches the cut-off.
-_DENSE_PAIR_THRESHOLD = 1024
-_DENSE_ONE_OFF_PAIRS = 1 << 16
+# Product route.  A product of at least _TABULATE_PAIRS term pairs first asks
+# for its shape's composition table, which composition_table builds up to six
+# sites; every product then reads the table if the shape has one, else the
+# memo.  The rule reads the product's size only.  Tabulating on the first
+# product of any size would slow a one-off fusion at six sites: one (3,3)
+# fusion composes 700-2200 pairs through the memo in 3-15 ms, and the (3,3)
+# table takes 90-110 ms.  Below the cut-off a one-off product pays the memo
+# instead: two full (4,1) idempotents, 14 400 pairs, compose in 60-80 ms,
+# against 3-5 ms for the (4,1) table (one process each, 2-core machine).
+_TABULATE_PAIRS = 1 << 16
 
 
 def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Bilinear product, tuned for the certification sweeps.
+    """Bilinear product.
 
     Terms are grouped by coefficient so each distinct scalar pair multiplies
     once, and per-diagram sums count repeated values before touching the
@@ -194,20 +168,15 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     coefficients, so many output diagrams receive the same {value:
     multiplicity} bucket; a dict local to the call sums each distinct
     bucket of two or more values once.  Compositions come from the table
-    once built, else from the memo.  Large products on tabulated shapes
-    take a vectorized path that aggregates the whole term-pair grid at once.
+    once built, else from the memo.
     """
     shape = a.shape
+    if len(a.terms) * len(b.terms) >= _TABULATE_PAIRS:
+        composition_table(shape)
     space = _shape_entry(shape)
-    table = space.table
-    pairs = len(a.terms) * len(b.terms)
-    if (table is not None and pairs >= _DENSE_PAIR_THRESHOLD) or (
-        pairs >= _DENSE_ONE_OFF_PAIRS and composition_table(shape) is not None
-    ):
-        return _mul_elements_dense(a, b, space)
-
     by_idx, stride = space.by_idx, space.stride
-    store = space.cache if table is None else table
+    store = space.cache if space.table is None else space.table
+
     groups_a: dict = {}
     for d, c in a.terms.items():
         groups_a.setdefault(c, []).append(d)
@@ -249,69 +218,6 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         if acc is not ZERO:
             out[by_idx[idx]] = acc
     return _element(shape, out)
-
-
-def _mul_elements_dense(a: AlgebraElement, b: AlgebraElement, space) -> AlgebraElement:
-    """Vectorized product over the shape's composition table.
-
-    Works in cleared form: each factor becomes a common denominator and
-    polynomial numerators per distinct coefficient, so the aggregation loop is
-    pure polynomial addition and a single canonicalization closes each output
-    diagram.
-    """
-    import numpy as np
-
-    table = np.frombuffer(composition_table(a.shape), dtype=np.int32)
-    count = len(space.by_idx)
-
-    def split(element):
-        den, cleared = element._cleared_form()
-        values: dict = {}
-        nums: list = []
-        idx = np.empty(len(element.terms), dtype=np.intp)
-        label = np.empty(len(element.terms), dtype=np.int64)
-        for pos, d in enumerate(element.terms):
-            num = cleared[d]
-            lab = values.get(num)
-            if lab is None:
-                lab = values[num] = len(nums)
-                nums.append(num)
-            idx[pos] = d.idx
-            label[pos] = lab
-        return idx, label, nums, den
-
-    ia, la, nums_a, den_a = split(a)
-    ib, lb, nums_b, den_b = split(b)
-    kb = len(nums_b)
-    # one int64 per cell: numerator pair * span + the table's packed entry
-    span = count << 8
-    assert len(nums_a) * kb * span < 2**63, "dense cell key overflows int64"
-    cell = (la[:, None] * kb + lb[None, :]) * span + table[ia[:, None] * count + ib]
-    uniq, counts = np.unique(cell.ravel(), return_counts=True)
-
-    products: dict = {}
-    acc: dict = {}
-    for key, count in zip(uniq.tolist(), counts.tolist()):
-        group, hit = divmod(key, span)
-        dd, loops = hit >> 8, hit & 0xFF
-        pk = (group, loops)
-        num = products.get(pk)
-        if num is None:
-            ga, gb = divmod(group, kb)
-            num = pmul(nums_a[ga], nums_b[gb])
-            if loops:
-                num = (0,) * loops + num  # multiply by d^loops
-            products[pk] = num
-        if count != 1:
-            num = tuple(c * count for c in num)
-        prev = acc.get(dd)
-        acc[dd] = num if prev is None else padd(prev, num)
-    den = pmul(den_a, den_b)
-    out: dict = {}
-    for idx, num in acc.items():
-        if num:
-            out[space.by_idx[idx]] = DeltaScalar.make(num, den)
-    return _element(a.shape, out)
 
 
 def sorted_terms(a: AlgebraElement):
@@ -368,12 +274,16 @@ def element_from_json(obj) -> AlgebraElement:
         shape = Shape(_json_int(obj["r"]), _json_int(obj["s"]))
         terms = {}
         # each distinct coefficient text is parsed once (an element has few
-        # over many terms); a value that is not a string goes to the parser
+        # over many terms)
         parsed: dict = {}
         for i, term in enumerate(obj["terms"]):
             d = make_diagram(shape, [_json_int(v) for v in term["diagram"]])
             text = term["coeff"]
-            c = parsed.get(text) if type(text) is str else parse_scalar(text)
+            if type(text) is not str:
+                raise ParseError(
+                    f"coefficient of term {i} is not a string: {json.dumps(text)}"
+                )
+            c = parsed.get(text)
             if c is None:
                 c = parsed[text] = parse_scalar(text)
             if d in terms:

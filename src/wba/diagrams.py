@@ -117,7 +117,7 @@ class WalledDiagram:
         return f"WalledDiagram({self.shape.r},{self.shape.s},{list(self.img)})"
 
 
-# dense tables stay affordable up to six sites (720^2 entries)
+# full tables stay affordable up to six sites (720^2 entries)
 _TABLE_MAX_SITES = 6
 
 
@@ -304,8 +304,8 @@ def _compose_raw(upper: WalledDiagram, lower: WalledDiagram):
     return make_diagram(shape, img), loops
 
 
-# the table packs result index << 8 | loops (below 6! and 6) into C ints,
-# which the dense product reads as int32
+# the table packs result index << 8 | loops (below 6! and 6) into 32-bit
+# C ints
 assert math.factorial(_TABLE_MAX_SITES) << 8 < 2**31
 assert array("i").itemsize == 4
 

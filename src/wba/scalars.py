@@ -24,10 +24,10 @@ Every scalar is interned by one step, _coprime, which takes a numerator and
 denominator already coprime in Q[d] and normalizes only the joint integer
 content and the sign of the denominator.  DeltaScalar.make reaches it by a
 full gcd cancellation, and only inputs not known to be coprime go through
-make: the constructors, scalar_linear_combination, the dense product and the
-parser's atoms.  The field operations start from canonical operands, so they
-know in advance which factors can cancel, and take no gcd of their whole
-result (Knuth, *TAOCP* vol. 2, §4.5.1, on Henrici's rational arithmetic):
+make: the constructors, scalar_linear_combination and the parser's atoms.
+The field operations start from canonical operands, so they know in advance
+which factors can cancel, and take no gcd of their whole result (Knuth,
+*TAOCP* vol. 2, §4.5.1, on Henrici's rational arithmetic):
   - a product (a/b)(c/e) cancels gcd(a, e) and gcd(c, b); a is coprime to b
     and c to e, so no other factor of ac can divide be;
   - a sum a/b + c/e divides by g = gcd(b, e), b = b'g and e = e'g, forms
@@ -481,9 +481,8 @@ def scalar_linear_combination(items) -> DeltaScalar:
     sums over the lcm of the distinct denominators with plain polynomial
     arithmetic, so the expensive gcd canonicalization runs once for the whole
     sum instead of once per addition, and each lcm step and rescale factor
-    once per distinct denominator.  The sparse algebra product sums each
-    output diagram's bucket of two or more values with it; the dense
-    product, which the large orthogonality sweeps use, does not call it.
+    once per distinct denominator.  The algebra product sums each output
+    diagram's bucket of two or more values with it.
     """
     items = [(c, k) for c, k in items if k and c.num]
     if not items:
@@ -504,14 +503,6 @@ def scalar_linear_combination(items) -> DeltaScalar:
     for other, num in sums.items():
         acc = padd(acc, num if other == den else pmul(num, pexquo(den, other)))
     return DeltaScalar.make(acc, den)
-
-
-def rescaled_numerator(c: DeltaScalar, den: Poly) -> Poly:
-    """The numerator of c over the target denominator, which c.den must divide
-    in Z[d]."""
-    if c.den == den:
-        return c.num
-    return pmul(c.num, pexquo(den, c.den))
 
 
 def affine(a, b=0) -> DeltaScalar:
@@ -577,7 +568,11 @@ _MAX_NESTING = 100
 
 
 def parse_scalar(text: str) -> DeltaScalar:
-    """Parse an expression in d with + - * / ^ and parentheses."""
+    """Parse an expression in d with + - * / ^ and parentheses.  Only a string
+    is read: the tokenizer would index any sequence, so a list of strings
+    would parse as their concatenation."""
+    if type(text) is not str:
+        raise ParseError(f"expected a string, got {type(text).__name__}")
     toks = _Tokens(text)
     value = _parse_sum(toks)
     if toks.peek() is not None:

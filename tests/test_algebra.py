@@ -255,30 +255,47 @@ def test_iota_reverses_products(a, b):
     assert iota(a * b) == iota(b) * iota(a)
 
 
+def tabulated_product(a, b):
+    """a*b with every composition read from the shape's built table: the
+    memo is emptied first and must stay empty."""
+    composition_table(a.shape)
+    memo = _shape_entry(a.shape).cache
+    memo.clear()
+    product = a * b
+    assert not memo
+    return product
+
+
 @pytest.mark.parametrize("shape", [Shape(2, 3), Shape(3, 2)])
-def test_dense_product_over_the_table_is_the_sparse_product(monkeypatch, shape):
+def test_tabulated_product_is_the_term_by_term_product(shape):
     # the first two idempotents (at least 84 terms each): a square, and an
     # orthogonal pair whose terms all cancel
     e, f = (fusion_idempotent(t) for t in enumerate_tableaux(shape)[:2])
     assert min(len(e.terms), len(f.terms)) >= 84
-    with monkeypatch.context() as sparse_only:
-        sparse_only.setattr(algebra, "_DENSE_PAIR_THRESHOLD", 1 << 62)
-        sparse_only.setattr(algebra, "_DENSE_ONE_OFF_PAIRS", 1 << 62)
-        square, cross = e * e, e * f
-    assert square == e and cross == AlgebraElement.zero(shape)
+    square, cross = tabulated_product(e, e), tabulated_product(e, f)
+    assert square.terms == oracle_product(e, e) and square == e
+    assert cross.terms == oracle_product(e, f) == {}
 
-    composition_table(shape)
-    space = _shape_entry(shape)
-    assert algebra._mul_elements_dense(e, e, space) == square
-    assert algebra._mul_elements_dense(e, f, space) == cross
+
+@pytest.mark.slow
+@pytest.mark.parametrize("r", range(7))
+def test_tabulated_product_is_the_term_by_term_product_on_six_sites(r):
+    # one product per shape, e * (e + f) for the first two idempotents: the
+    # square's terms and the cancelling cross terms land on the same diagrams
+    shape = Shape(r, 6 - r)
+    e, f = (fusion_idempotent(t) for t in enumerate_tableaux(shape)[:2])
+    product = tabulated_product(e, e + f)
+    assert product.terms == oracle_product(e, e + f)
+    assert product == e
 
 
 def test_sparse_product_reads_the_built_table(monkeypatch):
-    # below the dense threshold a product stays sparse; once the shape's
-    # table is built it takes every composition from there and composes none
+    # a product below the tabulation cut-off builds no table, but once the
+    # shape's table is built it takes every composition from there and
+    # composes none
     shape = Shape(2, 2)
     e, f = (fusion_idempotent(t) for t in enumerate_tableaux(shape)[:2])
-    assert len(e.terms) * len(f.terms) < algebra._DENSE_PAIR_THRESHOLD
+    assert len(e.terms) * len(f.terms) < algebra._TABULATE_PAIRS
     composition_table(shape)
     _shape_entry(shape).cache.clear()
 
@@ -288,13 +305,6 @@ def test_sparse_product_reads_the_built_table(monkeypatch):
     monkeypatch.setattr(diagrams_module, "_compose_raw", refuse)
     assert e * e == e
     assert e * f == AlgebraElement.zero(shape)
-
-
-@pytest.fixture
-def sparse_only(monkeypatch):
-    """Route every product through the sparse path, whatever its size."""
-    monkeypatch.setattr(algebra, "_DENSE_PAIR_THRESHOLD", 1 << 62)
-    monkeypatch.setattr(algebra, "_DENSE_ONE_OFF_PAIRS", 1 << 62)
 
 
 def product_buckets(a, b) -> dict:
@@ -336,7 +346,7 @@ S41_IDEMPOTENTS = (0, 18)
 
 
 @pytest.mark.parametrize("index", S41_IDEMPOTENTS)
-def test_sparse_product_is_the_term_by_term_product(sparse_only, index):
+def test_sparse_product_is_the_term_by_term_product(index):
     shape = Shape(4, 1)
     e = fusion_idempotent(enumerate_tableaux(shape)[index])
     gens = transpositions(shape)
@@ -357,7 +367,7 @@ def pool_element(rng, shape, pool, size):
 
 
 @pytest.mark.parametrize("shape", [Shape(2, 2), Shape(3, 1)])
-def test_sparse_product_with_few_distinct_coefficients(sparse_only, shape):
+def test_sparse_product_with_few_distinct_coefficients(shape):
     # few distinct coefficients give many equal values, and so repeated
     # buckets, some with the same values at other multiplicities
     pool = [ONE, -ONE, DELTA]
@@ -376,7 +386,7 @@ def test_sparse_product_with_few_distinct_coefficients(sparse_only, shape):
 
 
 @pytest.mark.parametrize("index", S41_IDEMPOTENTS)
-def test_sparse_product_sums_each_distinct_bucket_once(sparse_only, monkeypatch, index):
+def test_sparse_product_sums_each_distinct_bucket_once(monkeypatch, index):
     e = fusion_idempotent(enumerate_tableaux(Shape(4, 1))[index])
     multi = [
         bucket for bucket in product_buckets(e, e).values() if len(bucket) > 1

@@ -425,6 +425,24 @@ def test_mul_of_mismatched_shapes_is_a_usage_error(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("coeff", [["1", "2"], ["d"], 12, None], ids=str)
+def test_mul_refuses_a_coefficient_that_is_not_a_string(capsys, monkeypatch, coeff):
+    # a list of strings must not parse as their concatenation, nor a number
+    # as its digits
+    terms = [
+        {"diagram": [1, 2], "coeff": "1"},
+        {"diagram": [2, 1], "coeff": coeff},
+    ]
+    payload = json.dumps([{"r": 1, "s": 1, "terms": terms}, EMPTY_11])
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out = run(capsys, "mul", "-")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ParseError",
+        "message": f"coefficient of term 1 is not a string: {json.dumps(coeff)}",
+    }
+
+
 def test_mul_refuses_too_many_term_pairs_promptly(capsys, monkeypatch):
     # 800 x 800 terms of a 7-site shape: 640 000 term pairs, more than the
     # 720 x 720 of the largest 6-site product; the sparse path would take

@@ -250,6 +250,15 @@ def test_composition_table_matches_compose_raw_on_six_sites(fresh_registry, r):
     assert_table_is_the_composition(Shape(r, 6 - r))
 
 
+def test_no_table_above_six_sites(fresh_registry):
+    # a product of 2^16 term pairs asks for its shape's table whatever the
+    # shape, so asking must be free above six sites: no table, no interning
+    shape = Shape(3, 4)
+    assert composition_table(shape) is None
+    space = _shape_entry(shape)
+    assert space.table is None and not space.by_idx
+
+
 def test_composition_table_agrees_with_the_full_memo(fresh_registry):
     # memo and table share one key and value layout, entry for entry
     shape = Shape(2, 3)

@@ -469,19 +469,13 @@ def test_identity_battery_fails_on_a_flipped_contraction(monkeypatch, fresh_path
 
 
 def test_fusion_steps_stay_sparse(monkeypatch, fresh_paths):
-    # each fold step multiplies by one diagram at a time; the vectorized
-    # path for large products must never run while fusing a 5-site path
-    # (from an empty path memo, so that every step runs)
+    # each fold step multiplies by one diagram at a time, far below the
+    # product size that tabulates a shape, so fusing a 5-site path (from an
+    # empty path memo, so that every step runs) never asks for a table
     import wba.algebra as algebra
 
     calls = []
-    dense = algebra._mul_elements_dense
-
-    def counted(*args):
-        calls.append(None)
-        return dense(*args)
-
-    monkeypatch.setattr(algebra, "_mul_elements_dense", counted)
+    monkeypatch.setattr(algebra, "composition_table", lambda shape: calls.append(shape))
     t = parse_tableau("L+1,1;L+1,2;R+1,1;R+1,2;R+1,3", Shape(2, 3))
     fusion_idempotent(t)
     second_fusion_idempotent(t)

@@ -153,6 +153,12 @@ def test_parse_errors(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("value", [["1", "2"], ["d"], ("d",), 12, None, b"d"], ids=repr)
+def test_parse_refuses_a_non_string(value):
+    with pytest.raises(ParseError, match="^expected a string"):
+        parse_scalar(value)
+
+
 def test_parse_integer_at_the_digit_bound():
     assert parse_scalar("9" * 1000) == DeltaScalar.from_int(10**1000 - 1)
 

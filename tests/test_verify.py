@@ -5,7 +5,7 @@ import pytest
 
 import wba.verify as verify
 from wba.algebra import AlgebraElement, sorted_terms
-from wba.diagrams import Shape
+from wba.diagrams import Shape, _ComposeMemo, _shape_entry
 from wba.fusion import _step_factors, fuse_contents, fusion_idempotent, step_prefactor
 from wba.scalars import DELTA, ONE, affine
 from wba.tableaux import enumerate_tableaux, parse_tableau
@@ -94,6 +94,20 @@ def test_certificate_of_a_perturbed_idempotent_fails():
     assert not cert.jm_spectrum
     assert cert.interp_agrees is False
     assert not cert.ok
+
+
+def test_certificate_reads_the_table_it_builds(monkeypatch):
+    # from a shape with no table, certify_tableau tabulates it before its
+    # first product, so none of its products composes through the memo
+    shape = Shape(2, 3)
+    t = enumerate_tableaux(shape)[0]
+    e = fusion_idempotent(t)
+    space = _shape_entry(shape)
+    monkeypatch.setattr(space, "table", None)
+    monkeypatch.setattr(space, "cache", _ComposeMemo(space.by_idx, space.stride))
+    assert verify.certify_tableau(t, e).ok
+    assert space.table is not None
+    assert not space.cache
 
 
 def test_check_system_with_a_perturbed_idempotent_fails(monkeypatch):
