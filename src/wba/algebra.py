@@ -38,8 +38,14 @@ class AlgebraElement:
     __slots__ = ("shape", "terms")
 
     def __init__(self, shape: Shape, terms: dict):
+        # each coefficient becomes a scalar first, so a 0 is dropped like
+        # ZERO and a float or string is refused
         self.shape = shape
-        self.terms = {d: c for d, c in terms.items() if c is not ZERO}
+        self.terms = {}
+        for d, c in terms.items():
+            c = _scalar(c)
+            if c is not ZERO:
+                self.terms[d] = c
 
     @classmethod
     def zero(cls, shape: Shape) -> "AlgebraElement":
@@ -51,7 +57,8 @@ class AlgebraElement:
 
     @classmethod
     def from_diagram(cls, d: WalledDiagram, coeff=ONE) -> "AlgebraElement":
-        return cls(d.shape, {d: _scalar(coeff)})
+        c = _scalar(coeff)
+        return _element(d.shape, {} if c is ZERO else {d: c})
 
     def __bool__(self):
         return bool(self.terms)
@@ -143,20 +150,23 @@ def _scalar(c) -> DeltaScalar:
     string is refused, so no floating point enters an element."""
     scalar = _coerce(c)
     if scalar is NotImplemented:
-        raise TypeError(f"cannot scale by {type(c).__name__} {c!r}")
+        raise TypeError(f"not a scalar of Q(d): {type(c).__name__} {c!r}")
     return scalar
 
 
-# Product route.  A product of at least _TABULATE_PAIRS term pairs first asks
-# for its shape's composition table, which composition_table builds up to six
-# sites; every product then reads the table if the shape has one, else the
-# memo.  The rule reads the product's size only.  Tabulating on the first
-# product of any size would slow a one-off fusion at six sites: one (3,3)
-# fusion composes 700-2200 pairs through the memo in 3-15 ms, and the (3,3)
-# table takes 90-110 ms.  Below the cut-off a one-off product pays the memo
-# instead: two full (4,1) idempotents, 14 400 pairs, compose in 60-80 ms,
-# against 3-5 ms for the (4,1) table (one process each, 2-core machine).
-_TABULATE_PAIRS = 1 << 16
+# Product route.  Compositions come from the shape's table once it is built,
+# else from its memo.  Up to six sites, where composition_table builds the
+# table, a product buys it by a rent-or-buy rule: once _TABULATE_RATIO times
+# the compositions the memo may still pay for (the product's term pairs) and
+# has paid for (its entries) reaches the table's n!^2 entries.  A table entry
+# costs 0.12-0.19 us and a memo composition 1.7-4.1 us (one process each,
+# 2-core machine), a ratio of about 10 at five sites and 21-34 at six; the
+# rule takes 8.  With an empty memo the cut-off is 1 800 term pairs at (4,1)
+# and 64 800 at (3,3), where a one-off fusion composes only 700-2 200.  The
+# rule counts n!^2, not the diagrams interned so far, since diagrams are
+# interned lazily; stride is n! up to six sites, and above that the rule
+# cannot fire.
+_TABULATE_RATIO = 8
 
 
 def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -167,13 +177,19 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     canonicalizing scalar addition.  Elements carry few distinct
     coefficients, so many output diagrams receive the same {value:
     multiplicity} bucket; a dict local to the call sums each distinct
-    bucket of two or more values once.  Compositions come from the table
-    once built, else from the memo.
+    bucket of two or more values once.  An operand whose terms all carry one
+    coefficient, such as a fusion factor c*g, enters the buckets with weight
+    ONE, and each distinct output value is multiplied by that coefficient
+    once at the end, so the sums never carry it.
     """
     shape = a.shape
-    if len(a.terms) * len(b.terms) >= _TABULATE_PAIRS:
-        composition_table(shape)
     space = _shape_entry(shape)
+    if (
+        space.table is None
+        and _TABULATE_RATIO * (len(a.terms) * len(b.terms) + len(space.cache))
+        >= space.stride**2
+    ):
+        composition_table(shape)
     by_idx, stride = space.by_idx, space.stride
     store = space.cache if space.table is None else space.table
 
@@ -183,6 +199,15 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     groups_b: dict = {}
     for d, c in b.terms.items():
         groups_b.setdefault(c, []).append(d)
+    # the coefficient pulled out of one-coefficient operands
+    factor = ONE
+    if len(groups_a) == 1:
+        ((factor, das),) = groups_a.items()
+        groups_a = {ONE: das}
+    if len(groups_b) == 1:
+        ((cb, dbs),) = groups_b.items()
+        factor = factor * cb
+        groups_b = {ONE: dbs}
 
     buckets: dict = {}
     for ca, das in groups_a.items():
@@ -217,6 +242,13 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             acc = sums[key] = scalar_linear_combination(bucket.items())
         if acc is not ZERO:
             out[by_idx[idx]] = acc
+    if factor is not ONE:
+        scaled: dict = {}
+        for d, c in out.items():
+            fc = scaled.get(c)
+            if fc is None:
+                fc = scaled[c] = c * factor
+            out[d] = fc
     return _element(shape, out)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -17,12 +18,14 @@ from wba.algebra import (
 )
 from wba.diagrams import (
     Shape,
+    _ComposeMemo,
     _shape_entry,
     _transposition,
     all_diagrams,
     compose,
     composition_table,
     d_pair,
+    identity,
     make_diagram,
     vertical_flip,
 )
@@ -102,6 +105,22 @@ def test_scaling_refuses_floats_and_strings(c):
     ):
         with pytest.raises(TypeError):
             scale()
+
+
+def test_constructor_coerces_its_coefficients():
+    # a 0 is dropped, an int or a Fraction becomes the interned scalar, and
+    # a float is refused, so every stored coefficient is a nonzero scalar
+    shape = Shape(2, 1)
+    i, d = identity(shape), d_gen(shape)
+    zero = AlgebraElement(shape, {i: 0, d: ZERO})
+    assert zero.is_zero and zero == AlgebraElement.zero(shape)
+    assert AlgebraElement(shape, {i: 2}).terms[i] is DeltaScalar.from_int(2)
+    half = AlgebraElement(shape, {i: 1, d: Fraction(1, 2)})
+    assert half.terms[i] is ONE
+    assert half.terms[d] is DeltaScalar.from_fraction(Fraction(1, 2))
+    assert (half * half).terms == oracle_product(half, half)
+    with pytest.raises(TypeError):
+        AlgebraElement(shape, {i: 0.5})
 
 
 def test_jm_examples():
@@ -290,21 +309,30 @@ def test_tabulated_product_is_the_term_by_term_product_on_six_sites(r):
 
 
 def test_sparse_product_reads_the_built_table(monkeypatch):
-    # a product below the tabulation cut-off builds no table, but once the
-    # shape's table is built it takes every composition from there and
-    # composes none
+    # a product below the tabulation cut-off composes through the memo and
+    # builds no table, but once the shape's table is built every product
+    # takes every composition from there and composes none
     shape = Shape(2, 2)
     e, f = (fusion_idempotent(t) for t in enumerate_tableaux(shape)[:2])
-    assert len(e.terms) * len(f.terms) < algebra._TABULATE_PAIRS
+    g = elem(d_gen(shape))
+    space = _shape_entry(shape)
+    monkeypatch.setattr(space, "table", None)
+    monkeypatch.setattr(space, "cache", _ComposeMemo(space.by_idx, space.stride))
+    # with the memo empty, e*g is below the cut-off of 4!^2 / 8 = 72 pairs
+    assert algebra._TABULATE_RATIO * len(e.terms) < math.factorial(4) ** 2
+    eg = e * g
+    assert space.table is None and space.cache
     composition_table(shape)
-    _shape_entry(shape).cache.clear()
+    space.cache.clear()
 
     def refuse(upper, lower):
         raise AssertionError("composed a pair the table holds")
 
     monkeypatch.setattr(diagrams_module, "_compose_raw", refuse)
+    assert e * g == eg
     assert e * e == e
     assert e * f == AlgebraElement.zero(shape)
+    assert not space.cache
 
 
 def product_buckets(a, b) -> dict:
@@ -407,3 +435,54 @@ def test_sparse_product_sums_each_distinct_bucket_once(monkeypatch, index):
     assert e * e == e
     assert len(sums) == len(distinct)
     assert set(sums) == distinct
+
+
+# a non-unit scalar that is not a constant, as a fusion factor's coefficient is
+C = parse_scalar("-3/(2*d-2)")
+
+
+def one_coefficient(c, *diagrams) -> AlgebraElement:
+    return AlgebraElement(diagrams[0].shape, {d: c for d in diagrams})
+
+
+@pytest.mark.parametrize("shape", [Shape(2, 2), Shape(3, 1), Shape(4, 1)])
+def test_product_with_one_coefficient_operands(shape):
+    # an operand whose terms all carry C enters the sums with weight ONE and
+    # C multiplies the result: left only, right only and both sides
+    e = fusion_idempotent(enumerate_tableaux(shape)[-1])
+    i, s1, d = identity(shape), s_gen(shape, 1), d_gen(shape)
+    lone = one_coefficient(C, i, s1, d)
+    other = one_coefficient(parse_scalar("5/(d+7)"), s1, d)
+    for a, b in [(lone, e), (e, lone), (lone, other), (other, lone), (lone, lone)]:
+        product = a * b
+        assert product.terms == oracle_product(a, b)
+        assert product
+    # (1 + s1)(1 - s1) = 0, with C on the left only and on the right only
+    plus, minus = one_coefficient(C, i, s1), one(shape) - elem(s1)
+    for a, b in [(plus, minus), (minus, plus)]:
+        assert oracle_product(a, b) == {}
+        assert (a * b).is_zero
+
+
+def test_product_by_one_coefficient_sums_independently_of_it(monkeypatch):
+    # e * (c*d) hands scalar_linear_combination the sums of e * d, whatever
+    # c is, and multiplies c into each distinct result once
+    shape = Shape(4, 1)
+    e = fusion_idempotent(enumerate_tableaux(shape)[S41_IDEMPOTENTS[1]])
+    g = d_gen(shape)
+    original = algebra.scalar_linear_combination
+    calls: list = []
+
+    def recorded(items):
+        items = list(items)
+        calls.append(frozenset(items))
+        return original(items)
+
+    monkeypatch.setattr(algebra, "scalar_linear_combination", recorded)
+    sums = []
+    for c in (C, parse_scalar("5/(d+7)")):
+        calls.clear()
+        factor = AlgebraElement.from_diagram(g, c)
+        assert (e * factor).terms == oracle_product(e, factor)
+        sums.append(list(calls))
+    assert sums[0] and sums[0] == sums[1]

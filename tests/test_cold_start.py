@@ -4,10 +4,12 @@ Each subcommand imports only the layers it uses, so a short process does not
 pay for fusion or certification that it never runs.  No subcommand loads
 numpy or starts a second thread, and no process loads `dataclasses` or the
 `inspect` module it imports.  A one-off product composes through the memo
-unless it is large enough to pay for the composition table.
+unless it and the memo together are large enough to pay for the composition
+table.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,14 +26,16 @@ from wba.tableaux import enumerate_tableaux
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs the wba command line in this process, then reports the loaded
-# modules and the live threads (None without /proc)
+# modules, the live threads (None without /proc) and the (r, s) of every
+# shape whose composition table was built
 PROBE = """
 import json, os, sys
-import wba.cli
+import wba.cli, wba.diagrams
 code = wba.cli.main(sys.argv[1:])
 sys.stdout.flush()
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-sys.stderr.write(json.dumps({"modules": sorted(sys.modules), "threads": threads}))
+tables = sorted(key for key, space in wba.diagrams._REGISTRY.items() if space.table is not None)
+sys.stderr.write(json.dumps({"modules": sorted(sys.modules), "threads": threads, "tables": tables}))
 sys.exit(code)
 """
 
@@ -75,15 +79,25 @@ def full_idempotents(shape, count=2):
     raise AssertionError(f"fewer than {count} full idempotents on {shape}")
 
 
+def first_terms(e, count):
+    """The element of e's first `count` terms."""
+    return AlgebraElement(e.shape, dict(list(e.terms.items())[:count]))
+
+
+def tabulates(pairs, shape):
+    """Whether a product of `pairs` term pairs on shape, with an empty memo,
+    reaches the cut-off that tabulates the shape."""
+    return algebra._TABULATE_RATIO * pairs >= math.factorial(shape.n) ** 2
+
+
 def tabulating_pair():
-    """Two 256-term (3,3) elements, whose product of 2^16 term pairs is the
-    smallest that tabulates its shape."""
+    """Two 256-term (3,3) elements, whose product of 2^16 term pairs
+    tabulates its shape: the (3,3) cut-off with an empty memo is
+    720^2 / 8 = 64 800 pairs."""
     shape = Shape(3, 3)
-    a, b = (
-        AlgebraElement(shape, dict(list(e.terms.items())[:256]))
-        for e in full_idempotents(shape)
-    )
-    assert len(a.terms) * len(b.terms) == algebra._TABULATE_PAIRS
+    a, b = (first_terms(e, 256) for e in full_idempotents(shape))
+    assert len(a.terms) * len(b.terms) == 1 << 16
+    assert tabulates(1 << 16, shape) and not tabulates(255 * 254, shape)
     return a, b
 
 
@@ -160,23 +174,50 @@ def test_no_subcommand_loads_numpy(argv, stdin):
 
 
 def test_one_off_large_product_stays_off_numpy(monkeypatch):
-    # a single (4,1) product of two full idempotents (14 400 term pairs)
-    # composes through the memo: it is below the cut-off that pays for
-    # tabulating the shape
+    # a single (4,1) product of two full elements, e * (e + f) for two full
+    # idempotents (14 400 term pairs), is far above the (4,1) cut-off of
+    # 1 800 pairs, so it tabulates the shape, in pure Python, and prints what
+    # the memo route prints
     shape = Shape(4, 1)
-    a, b = full_idempotents(shape)
+    e, f = full_idempotents(shape)
+    a, b = e, e + f
+    assert tabulates(len(a.terms) * len(b.terms), shape)
     space = _shape_entry(shape)
     # later tests must find the table and memo they would have found
     monkeypatch.setattr(space, "table", None)
     monkeypatch.setattr(space, "cache", _ComposeMemo(space.by_idx, space.stride))
-    want = json.dumps(element_to_json(a * b), indent=2) + "\n"
+    # the memo route's product, in this process
+    monkeypatch.setattr(algebra, "_TABULATE_RATIO", 0)
+    product = a * b
+    assert product == e
     assert space.table is None and space.cache
+    want = json.dumps(element_to_json(product), indent=2) + "\n"
 
     stdin = json.dumps([element_to_json(a), element_to_json(b)])
-    proc, modules = loaded_modules("mul", "-", stdin=stdin)
+    proc, report = probe("mul", "-", stdin=stdin)
     assert proc.returncode == 0, proc.stdout
-    assert not modules & {"numpy", *INTROSPECTION}
+    assert report["tables"] == [[4, 1]]
+    assert not set(report["modules"]) & {"numpy", *INTROSPECTION}
     assert proc.stdout == want
+
+
+def test_product_below_the_cut_off_composes_through_the_memo(monkeypatch):
+    # with an empty memo the (4,1) cut-off is 120^2 / 8 = 1 800 term pairs: a
+    # product of 29 x 62 = 1 798 pairs composes through the memo and builds
+    # no table; one of 30 x 60 = 1 800 pairs tabulates and composes nothing
+    shape = Shape(4, 1)
+    e, f = full_idempotents(shape)
+    space = _shape_entry(shape)
+    monkeypatch.setattr(space, "table", None)
+    monkeypatch.setattr(space, "cache", _ComposeMemo(space.by_idx, space.stride))
+    assert not tabulates(29 * 62, shape) and tabulates(30 * 60, shape)
+    first_terms(e, 29) * first_terms(f, 62)
+    assert space.table is None
+    assert 0 < len(space.cache) <= 29 * 62
+    space.cache.clear()
+    first_terms(e, 30) * first_terms(f, 60)
+    assert space.table is not None
+    assert not space.cache
 
 
 def test_large_product_takes_the_built_table(monkeypatch):

@@ -35,3 +35,21 @@ def test_certify_script():
         proc = run_script("certify.py", *args)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count(": ok ") == 3  # (1,1), (1,2), (2,1)
+
+
+def test_digests_script():
+    proc = run_script("digests.py", "3")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    # one tableau on each of the two 1-site shapes, 2 on each of the three
+    # 2-site shapes and 4 on each of the four 3-site shapes
+    assert len(rows) == 4 * (2 + 3 * 2 + 4 * 4)
+    by_tableau: dict = {}
+    for r, s, tableau, procedure, digest in rows:
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        by_tableau.setdefault((r, s, tableau), {})[procedure] = digest
+    assert len(by_tableau) == 24
+    for digests in by_tableau.values():
+        # the four procedures build the same idempotent
+        assert sorted(digests) == ["first", "interp", "second_fwd", "second_mirror"]
+        assert len(set(digests.values())) == 1
