@@ -97,17 +97,7 @@ class AlgebraElement:
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._check_shape(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            prev = out.get(d)
-            if prev is None:
-                out[d] = -c
-            elif (total := prev - c) is ZERO:
-                del out[d]
-            else:
-                out[d] = total
-        return _element(self.shape, out)
+        return self + (-other)
 
     def scale(self, c) -> "AlgebraElement":
         c = _scalar(c)

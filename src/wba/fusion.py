@@ -311,14 +311,19 @@ def leftover_prefactor_value(shape: Shape, contents, p) -> DeltaScalar:
 def fusion_with_minimal_prefactor(t: WalledTableau, override_exponents=None):
     """Run the fusion with only the exponent-dictated prefactor factors.
 
-    Returns (element, diagnostics).  With override_exponents (a dict step -> p)
-    the run becomes a negative control: withholding a required factor makes
-    the engine raise CancellationFailure.
+    Returns (element, diagnostics).  With override_exponents (a dict step -> p
+    over the steps r < k <= n after the wall; any other step raises
+    IndexOutOfRange) the run becomes a negative control: withholding a
+    required factor makes the engine raise CancellationFailure.
     """
     shape, contents = t.shape, t.contents()
     p = list(exponents(t))
     if override_exponents:
         for k, pk in override_exponents.items():
+            if not shape.r < k <= shape.n:
+                raise IndexOutOfRange(
+                    f"step {k} outside the steps {shape.r + 1}..{shape.n} after the wall"
+                )
             p[k - 1] = pk
     e, orders = _consecutive(shape, contents, shape.n, p)
     steps = tuple(

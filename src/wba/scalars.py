@@ -23,9 +23,10 @@ is cleared to integers once, by the constructors.
 Every scalar is interned by one step, _coprime, which takes a numerator and
 denominator already coprime in Q[d] and normalizes only the joint integer
 content and the sign of the denominator.  DeltaScalar.make reaches it by a
-full gcd cancellation, and only inputs not known to be coprime go through
-make: the constructors, scalar_linear_combination and the parser's atoms.
-The field operations start from canonical operands, so they know in advance
+full gcd cancellation, which only copies, pickles and direct calls need:
+the constructors (from_int, from_fraction, poly and so affine, and the
+parser's atoms through them) all pass a side of degree 0.  The field
+operations start from operands coprime in Q[d], so they know in advance
 which factors can cancel, and take no gcd of their whole result (Knuth,
 *TAOCP* vol. 2, §4.5.1, on Henrici's rational arithmetic):
   - a product (a/b)(c/e) cancels gcd(a, e) and gcd(c, b); a is coprime to b
@@ -36,7 +37,10 @@ which factors can cancel, and take no gcd of their whole result (Knuth,
     is gcd(a + c, b);
   - negation, inversion and squaring change no common factor, so they take
     no gcd at all.
-A side of degree 0 is a unit of Q[d] and takes no gcd either.
+A side of degree 0 is a unit of Q[d] and takes no gcd either.  The sum is
+the one sum rule: binary + interns its result, and
+scalar_linear_combination folds it over many terms and interns only the
+total.
 
 Binary operations are memoized in bounded caches keyed by the interned
 operands.  The multiplication loops of the diagram algebra hit these caches
@@ -194,8 +198,7 @@ _MUL: dict = {}
 _NEG: dict = {}
 _INV: dict = {}
 _CACHE_LIMIT = 1 << 20
-# no longer filled: lcms and rescaled numerators are recomputed, which keeps
-# peak memory lower than caching them did; perfbench/make_expected.py still
+# never filled, since no sum takes an lcm; perfbench/make_expected.py still
 # empties both between its runs
 _LCM: dict = {}
 _RESCALE: dict = {}
@@ -297,7 +300,7 @@ class DeltaScalar:
         key = (self, other)
         r = _ADD.get(key)
         if r is None:
-            r = _sum(self.num, self.den, other.num, other.den)
+            r = _coprime(*_sum(self.num, self.den, other.num, other.den))
             _cache_put(_ADD, key, r)
         return r
 
@@ -431,8 +434,11 @@ def _product(a: Poly, b: Poly, c: Poly, e: Poly) -> DeltaScalar:
     return _coprime(pmul(a, c), pmul(b, e))
 
 
-def _sum(a: Poly, b: Poly, c: Poly, e: Poly) -> DeltaScalar:
-    """a/b + c/e of two nonzero canonical scalars, by Henrici's method.
+def _sum(a: Poly, b: Poly, c: Poly, e: Poly) -> tuple:
+    """a/b + c/e by Henrici's method, as a pair (t, den) coprime in Q[d],
+    neither interned nor normalized in its integer content; ((), (1,)) when
+    the sum cancels.  a must be coprime to b and c to e in Q[d], and a, c
+    nonzero.
 
     With g = gcd(b, e), b = b'g and e = e'g, the sum is t / (b'e) where
     t = ae' + cb'.  t is coprime to b' (a is coprime to b and e' to b') and
@@ -448,12 +454,12 @@ def _sum(a: Poly, b: Poly, c: Poly, e: Poly) -> DeltaScalar:
             bq, eq = b, e
         t = padd(pmul(a, eq), pmul(c, bq))
     if not t:
-        return ZERO
+        return (), (1,)
     if len(g) > 1 and len(t) > 1:
         h = pgcd(t, g)
         if len(h) > 1:
             t, e = pexquo(t, h), pexquo(e, h)
-    return _coprime(t, e if bq == (1,) else pmul(bq, e))
+    return t, e if bq == (1,) else pmul(bq, e)
 
 
 ZERO = DeltaScalar.make(())
@@ -461,48 +467,26 @@ ONE = DeltaScalar.make((1,))
 DELTA = DeltaScalar.make((0, 1))
 
 
-def _den_lcm(a: Poly, b: Poly) -> Poly:
-    """The lcm of two denominators in Z[d], integer contents included."""
-    if a == b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        k = b[0] // gcd(b[0], *a)
-        return a if k == 1 else pscale(a, k)
-    g = pscale(pgcd(a, b), gcd(gcd(*a), gcd(*b)))
-    return pmul(pexquo(a, g), b)
-
-
 def scalar_linear_combination(items) -> DeltaScalar:
     """Exact sum of (value, integer multiplicity) pairs.
 
-    Sums the numerators of each distinct denominator, then accumulates those
-    sums over the lcm of the distinct denominators with plain polynomial
-    arithmetic, so the expensive gcd canonicalization runs once for the whole
-    sum instead of once per addition, and each lcm step and rescale factor
-    once per distinct denominator.  The algebra product sums each output
-    diagram's bucket of two or more values with it.
+    Folds Henrici's step, the one binary + takes, over the items and interns
+    only the total: a partial sum stays a coprime pair of polynomials, so no
+    intermediate is interned and no memo is touched.  When the running sum
+    cancels, the fold starts again from the next item.  The algebra product
+    sums each output diagram's bucket of two or more values with it.
     """
-    items = [(c, k) for c, k in items if k and c.num]
-    if not items:
-        return ZERO
-    if len(items) == 1:
-        c, k = items[0]
-        return c if k == 1 else c * k
-    sums: dict = {}
+    num: Poly = ()
+    den: Poly = (1,)
     for c, k in items:
-        num = c.num if k == 1 else pscale(c.num, k)
-        prev = sums.get(c.den)
-        sums[c.den] = num if prev is None else padd(prev, num)
-    dens = iter(sums)
-    den = next(dens)
-    for other in dens:
-        den = _den_lcm(den, other)
-    acc: Poly = ()
-    for other, num in sums.items():
-        acc = padd(acc, num if other == den else pmul(num, pexquo(den, other)))
-    return DeltaScalar.make(acc, den)
+        if not k or not c.num:
+            continue
+        a = c.num if k == 1 else pscale(c.num, k)
+        if num:
+            num, den = _sum(num, den, a, c.den)
+        else:
+            num, den = a, c.den
+    return _coprime(num, den)
 
 
 def affine(a, b=0) -> DeltaScalar:

@@ -336,6 +336,15 @@ def test_minimal_prefactor_negative_control():
         fusion_with_minimal_prefactor(t, override_exponents={3: 0})
 
 
+@pytest.mark.parametrize("step", [-1, 0, 1, 2, 5])
+def test_minimal_prefactor_override_outside_the_steps_after_the_wall(step):
+    # (2,2) has steps 3 and 4 after the wall: step 0 would index p[-1], steps
+    # 1 and 2 take exponent 0 whatever is asked, and step 5 is past the end
+    t = parse_tableau(GOLDEN_SPEC, S22)
+    with pytest.raises(IndexOutOfRange):
+        fusion_with_minimal_prefactor(t, override_exponents={step: 0})
+
+
 @pytest.mark.parametrize("r,s", [(1, 2), (2, 1), (2, 2), (1, 3)])
 def test_minimal_prefactor_all_tableaux(r, s):
     shape = Shape(r, s)

@@ -135,9 +135,13 @@ D = DeltaScalar.make
            (D((3,), (0, 1)), 1), (D((1,), (-1, 1)), 2)], False))
 @example(([(D((1,), (0, 2)), 2), (D((1,), (1, 1)), -1), (D((1,), (0, 2)), -2),
            (D((1,), (1, 1)), 1)], True))
+@example(([(D((1,), (0, 1)), 1), (D((1,), (0, 1)), -1), (D((1, 1), (2, 1)), 1)], False))
 def test_linear_combination_agrees_with_repeated_addition(case):
     items, cancels = case
+    before = len(scalars._INTERN)
     got = scalar_linear_combination(items)
+    # only the total is interned, never a partial sum
+    assert len(scalars._INTERN) <= before + 1
     assert got is repeated_sum(items)
     assert_canonical(got)
     if cancels:
