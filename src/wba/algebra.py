@@ -10,6 +10,7 @@ anti-automorphism, and the JSON wire format.
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 
 from .diagrams import (
     Shape,
@@ -29,23 +30,35 @@ from .scalars import (
     ZERO,
     DeltaScalar,
     _coerce,
+    _immutable,
+    _setattr,
     parse_scalar,
     scalar_linear_combination,
     scalar_str,
 )
 
 class AlgebraElement:
+    """An immutable element, whose terms are a read-only view, so that the
+    path memo can hand out the elements it keeps."""
+
     __slots__ = ("shape", "terms")
 
     def __init__(self, shape: Shape, terms: dict):
         # each coefficient becomes a scalar first, so a 0 is dropped like
         # ZERO and a float or string is refused
-        self.shape = shape
-        self.terms = {}
+        out = {}
         for d, c in terms.items():
             c = _scalar(c)
             if c is not ZERO:
-                self.terms[d] = c
+                out[d] = c
+        _setattr(self, "shape", shape)
+        _setattr(self, "terms", MappingProxyType(out))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle
+        return AlgebraElement, (self.shape, self.terms.copy())
 
     @classmethod
     def zero(cls, shape: Shape) -> "AlgebraElement":
@@ -80,7 +93,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_shape(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for d, c in other.terms.items():
             prev = out.get(d)
             if prev is None:
@@ -130,8 +143,8 @@ def _element(shape: Shape, terms: dict) -> AlgebraElement:
     hold no zero coefficient; the arithmetic builds its results here, without
     the public constructor's filtering copy."""
     e = object.__new__(AlgebraElement)
-    e.shape = shape
-    e.terms = terms
+    _setattr(e, "shape", shape)
+    _setattr(e, "terms", MappingProxyType(terms))
     return e
 
 
@@ -256,17 +269,13 @@ def jm_element(shape: Shape, k: int) -> AlgebraElement:
     r, n = shape.r, shape.n
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"x_{k} outside 1..{n}")
-    acc = AlgebraElement.zero(shape)
     if k <= r:
-        for i in range(1, k):
-            acc = acc + AlgebraElement.from_diagram(s_pair(shape, i, k))
-    else:
-        for i in range(1, r + 1):
-            acc = acc - AlgebraElement.from_diagram(d_pair(shape, i, k))
-        for i in range(r + 1, k):
-            acc = acc + AlgebraElement.from_diagram(s_pair(shape, i, k))
-        acc = acc + AlgebraElement.one(shape).scale(DELTA)
-    return acc
+        return _element(shape, {s_pair(shape, i, k): ONE for i in range(1, k)})
+    # distinct transpositions and the identity, so no two terms meet
+    terms = {d_pair(shape, i, k): -ONE for i in range(1, r + 1)}
+    terms.update((s_pair(shape, i, k), ONE) for i in range(r + 1, k))
+    terms[identity(shape)] = DELTA
+    return _element(shape, terms)
 
 
 def element_to_json(a: AlgebraElement) -> dict:

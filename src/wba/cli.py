@@ -2,11 +2,12 @@
 
 Subcommands: tableaux, idempotent, verify, bratteli, jm, mul.  Output is
 machine-readable JSON with deterministic ordering; --pretty on `idempotent`
-switches to a human display that is not meant to be parsed.  Usage and input
-errors, requests above the size bounds among them, exit with 2, computation
-failures (uncancelled poles, non-generic h, non-semisimple parameter) with 1,
-both carrying a structured error object.  A reader that closes stdout early
-ends the process with 1 and nothing on stderr.
+switches to a human display that is not meant to be parsed, and excludes
+--check.  Usage and input errors, requests above the size bounds among them,
+exit with 2, computation failures (uncancelled poles, non-generic h,
+non-semisimple parameter) with 1, both carrying a structured error object.
+A reader that closes stdout early ends the process with 1 and nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -262,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["first", "second", "interp"], default="first")
     p.add_argument("--variant", choices=["fwd", "mirror"], default="fwd")
     p.add_argument("--h", help="free parameter for the second procedure, e.g. '3*d+1/2'")
-    p.add_argument("--check", action="store_true", help="append a certification block")
-    p.add_argument("--pretty", action="store_true", help="human display, not parseable")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--check", action="store_true", help="append a certification block")
+    output.add_argument("--pretty", action="store_true", help="human display, not parseable")
     p.add_argument("--delta-rational", help="refuse fusion unless semisimple at this d")
     p.set_defaults(func=cmd_idempotent)
 

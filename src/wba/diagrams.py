@@ -16,11 +16,12 @@ d_{i,k}) is a transposition.
 Composition places the upper diagram above the lower one, glues the middle
 row, traces the boundary paths and counts the closed loops left in the middle
 row; the algebra layer turns each loop into a factor of the parameter d.
-Diagrams are interned per shape, in a table that is never emptied, so equal
-diagrams are one object: a diagram hashes and compares by identity, at C
-speed, and copies and pickles go back through make_diagram to the interned
-object.  Each shape keeps its compositions in one packed layout: a memo that
-empties itself at the scalar memos' size limit and, once built, a table.
+Shapes, and diagrams per shape, are interned in tables that are never
+emptied, so equal values are one object: both hash and compare by identity,
+at C speed, and copies and pickles go back through the constructor to the
+interned object.  Each shape keeps its compositions in one packed layout: a
+memo that empties itself at the scalar memos' size limit and, once built, a
+table.
 """
 
 from __future__ import annotations
@@ -29,56 +30,39 @@ import itertools
 import math
 from array import array
 from collections import deque
+from operator import index
 from typing import Iterator, NamedTuple
 
 from .errors import IndexOutOfRange, ShapeMismatch
-from .scalars import _cache_put
+from .scalars import _cache_put, _immutable, _setattr
 
 
-# What the package's hand-written value classes share.  Each lists its
-# fields in __slots__; the constructor of an immutable class sets them with
-# _setattr.
-_setattr = object.__setattr__
-
-
-def _immutable(self, *args):
-    raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-def _stored_hash(self):
-    return self._hash
+# every shape ever made; never emptied, because shapes hash and compare by
+# identity
+_SHAPES: dict = {}
 
 
 class Shape:
-    """The numbers r and s of sites left and right of the wall; immutable,
-    equal and hashed by value."""
+    """The numbers r and s of sites left and right of the wall; interned, so
+    equal shapes are one object, hashed and compared by identity."""
 
-    __slots__ = ("r", "s", "_hash")
+    __slots__ = ("r", "s")
 
-    def __init__(self, r: int, s: int):
-        if r < 0 or s < 0:
-            raise IndexOutOfRange(f"shape ({r}, {s}) has a negative side")
-        _setattr(self, "r", r)
-        _setattr(self, "s", s)
-        _setattr(self, "_hash", hash((r, s)))
+    def __new__(cls, r: int, s: int):
+        # an int, never a float: the first object made for a value is the
+        # one every later call returns
+        r, s = index(r), index(s)
+        shape = _SHAPES.get((r, s))
+        if shape is None:
+            if r < 0 or s < 0:
+                raise IndexOutOfRange(f"shape ({r}, {s}) has a negative side")
+            shape = object.__new__(cls)
+            _setattr(shape, "r", r)
+            _setattr(shape, "s", s)
+            _SHAPES[r, s] = shape
+        return shape
 
     __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is Shape:
-            return self.r == other.r and self.s == other.s
-        return NotImplemented
-
-    def __ne__(self, other):
-        if self is other:
-            return False
-        if other.__class__ is Shape:
-            return self.r != other.r or self.s != other.s
-        return NotImplemented
-
-    __hash__ = _stored_hash
 
     def __reduce__(self):
         return Shape, (self.r, self.s)
@@ -210,12 +194,12 @@ def make_diagram(shape: Shape, img) -> WalledDiagram:
     # a composition key is upper.idx * stride + lower.idx
     assert len(by_idx) < space.stride, "diagram index overflows the composition key"
     d = object.__new__(WalledDiagram)
-    object.__setattr__(d, "shape", shape)
-    object.__setattr__(d, "img", img)
-    object.__setattr__(d, "idx", len(by_idx))
+    _setattr(d, "shape", shape)
+    _setattr(d, "img", img)
+    _setattr(d, "idx", len(by_idx))
     mt, mb = _matchings(shape, img)
-    object.__setattr__(d, "_mt", mt)
-    object.__setattr__(d, "_mb", mb)
+    _setattr(d, "_mt", mt)
+    _setattr(d, "_mb", mb)
     by_img[img] = d
     by_idx.append(d)
     return d

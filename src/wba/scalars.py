@@ -204,6 +204,16 @@ _LCM: dict = {}
 _RESCALE: dict = {}
 
 
+# What the package's hand-written value classes share.  Each lists its
+# fields in __slots__, its constructor sets them with _setattr, and assigning
+# or deleting one raises through _immutable.
+_setattr = object.__setattr__
+
+
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _cache_put(cache, key, value):
     if len(cache) > _CACHE_LIMIT:
         cache.clear()
@@ -263,8 +273,7 @@ class DeltaScalar:
             tuple(c.numerator * (den // c.denominator) for c in coeffs), (den,)
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DeltaScalar is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         return DeltaScalar.make, (self.num, self.den)
@@ -412,9 +421,9 @@ def _coprime(num: Poly, den: Poly) -> DeltaScalar:
     obj = _INTERN.get(key)
     if obj is None:
         obj = object.__new__(DeltaScalar)
-        object.__setattr__(obj, "num", num)
-        object.__setattr__(obj, "den", den)
-        object.__setattr__(obj, "_text", None)
+        _setattr(obj, "num", num)
+        _setattr(obj, "den", den)
+        _setattr(obj, "_text", None)
         _INTERN[key] = obj
     return obj
 
@@ -502,7 +511,7 @@ def scalar_str(x: DeltaScalar) -> str:
     text = x._text
     if text is None:
         text = _render(x.num, x.den)
-        object.__setattr__(x, "_text", text)
+        _setattr(x, "_text", text)
     return text
 
 

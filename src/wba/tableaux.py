@@ -20,36 +20,40 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .diagrams import Shape, _immutable, _setattr, _stored_hash
+from .diagrams import Shape
 from .errors import IllegalMove, IndexOutOfRange, ParseError
-from .scalars import DeltaScalar, affine, scalar_str
+from .scalars import DeltaScalar, _immutable, _setattr, affine, scalar_str
+
+# Partitions and bipartitions are interned like shapes, in tables that are
+# never emptied: equal values are one object, hashed and compared by
+# identity.  Walled tableaux, which are far too many to keep, are equal and
+# hashed by value.
+_PARTITIONS: dict = {}
+_BIPARTITIONS: dict = {}
 
 
 class Partition:
-    """A partition as its weakly decreasing positive parts; immutable, equal
-    and hashed by value."""
+    """A partition as its weakly decreasing positive parts; interned."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple = ()):
+    def __new__(cls, parts: tuple = ()):
         parts = tuple(int(p) for p in parts)
-        if any(p <= 0 for p in parts):
-            raise IndexOutOfRange(f"partition parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise IndexOutOfRange(f"partition parts must be weakly decreasing: {parts}")
-        _setattr(self, "parts", parts)
-        _setattr(self, "_hash", hash((parts,)))
+        obj = _PARTITIONS.get(parts)
+        if obj is None:
+            if any(p <= 0 for p in parts):
+                raise IndexOutOfRange(f"partition parts must be positive: {parts}")
+            if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+                raise IndexOutOfRange(f"partition parts must be weakly decreasing: {parts}")
+            obj = object.__new__(cls)
+            _setattr(obj, "parts", parts)
+            _PARTITIONS[parts] = obj
+        return obj
 
     __setattr__ = __delattr__ = _immutable
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is Partition:
-            return self.parts == other.parts
-        return NotImplemented
-
-    __hash__ = _stored_hash
+    def __reduce__(self):
+        return Partition, (self.parts,)
 
     def cells(self) -> tuple:
         return tuple(
@@ -100,26 +104,25 @@ EMPTY = Partition(())
 
 
 class Bipartition:
-    """The left and right partitions of a branching-graph vertex; immutable,
-    equal and hashed by value."""
+    """The left and right partitions of a branching-graph vertex; interned."""
 
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ("left", "right")
 
-    def __init__(self, left: Partition = EMPTY, right: Partition = EMPTY):
-        _setattr(self, "left", left)
-        _setattr(self, "right", right)
-        _setattr(self, "_hash", hash((left, right)))
+    def __new__(cls, left: Partition = EMPTY, right: Partition = EMPTY):
+        b = _BIPARTITIONS.get((left, right))
+        if b is None:
+            if left.__class__ is not Partition or right.__class__ is not Partition:
+                raise TypeError(f"a bipartition joins two partitions: {left!r}, {right!r}")
+            b = object.__new__(cls)
+            _setattr(b, "left", left)
+            _setattr(b, "right", right)
+            _BIPARTITIONS[left, right] = b
+        return b
 
     __setattr__ = __delattr__ = _immutable
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is Bipartition:
-            return self.left == other.left and self.right == other.right
-        return NotImplemented
-
-    __hash__ = _stored_hash
+    def __reduce__(self):
+        return Bipartition, (self.left, self.right)
 
     def __repr__(self):
         return f"Bipartition({list(self.left.parts)}|{list(self.right.parts)})"
@@ -201,10 +204,14 @@ class WalledTableau:
         if self is other:
             return True
         if other.__class__ is WalledTableau:
-            return self.shape == other.shape and self.moves == other.moves
+            return self.shape is other.shape and self.moves == other.moves
         return NotImplemented
 
-    __hash__ = _stored_hash
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return WalledTableau, (self.shape, self.moves)
 
     @property
     def final(self) -> Bipartition:

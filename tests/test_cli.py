@@ -244,6 +244,11 @@ def test_usage_error_exit_code(capsys):
             ["idempotent", "1", "1"], None, {}, "ParseError", id="argparse-missing-tableau"
         ),
         pytest.param(["jm", "1", "1", "x"], None, {}, "ParseError", id="argparse-non-integer"),
+        # the pretty display would drop the certification block
+        pytest.param(
+            ["idempotent", "2", "2", "--tableau", GOLDEN_SPEC, "--pretty", "--check"], None, {},
+            "ParseError", id="argparse-pretty-with-check",
+        ),
         pytest.param([], None, {}, "ParseError", id="argparse-no-subcommand"),
         pytest.param(["mul", "{tmp}/x.json"], None, {}, "ParseError", id="mul-one-file"),
         pytest.param(["mul"], '{"a": 1}', {}, "ParseError", id="mul-stdin-not-a-pair"),

@@ -1,6 +1,7 @@
-"""Scalars and diagrams are interned: equal values are one object, so both
-classes hash and compare by identity.  These tests pin that invariant, the
-identity hash itself, and copies and pickles that come back interned."""
+"""Scalars, diagrams, shapes, partitions and bipartitions are interned:
+equal values are one object, so these classes hash and compare by identity.
+These tests pin that invariant, the identity hash itself, copies and pickles
+that come back interned, and values that refuse mutation."""
 
 import copy
 import itertools
@@ -14,11 +15,22 @@ from pathlib import Path
 
 import pytest
 
+import wba.diagrams as diagrams
 import wba.scalars as scalars
+import wba.tableaux as tableaux
+from wba.algebra import AlgebraElement, jm_element
 from wba.diagrams import Shape, WalledDiagram, all_diagrams, identity, make_diagram, s_pair
+from wba.errors import IndexOutOfRange
 from wba.fusion import fusion_idempotent
 from wba.scalars import DELTA, ONE, ZERO, DeltaScalar, affine, parse_scalar, pmul, pscale
-from wba.tableaux import parse_tableau
+from wba.tableaux import (
+    Bipartition,
+    Partition,
+    WalledTableau,
+    bratteli,
+    parse_tableau,
+    triple_tableau,
+)
 
 S22 = Shape(2, 2)
 GOLDEN_SPEC = "L+1,1;L+2,1;L-2,1;L-1,1"
@@ -102,6 +114,95 @@ def test_copied_idempotent_equals_the_original():
         pairs = zip(c.terms.items(), e.terms.items())
         assert all(d is d0 and v is v0 for (d, v), (d0, v0) in pairs)
         assert c * c == e
+
+
+def test_equal_shapes_partitions_and_bipartitions_are_one_object():
+    p, q = Partition((2, 1)), Partition((1,))
+    assert Shape(2, 1) is Shape(r=2, s=1)
+    assert Partition((2, 1)) is Partition([2, 1]) is p
+    assert Bipartition(p, q) is Bipartition(left=p, right=q)
+    assert Bipartition() is Bipartition(Partition(), Partition(()))
+    for cls in (Shape, Partition, Bipartition):
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+        assert not {"__eq__", "__ne__", "__hash__"} & set(vars(cls))
+        assert "_hash" not in cls.__slots__
+    assert not hasattr(diagrams, "_stored_hash")
+
+
+def test_invalid_values_raise_and_are_not_interned():
+    shapes, parts = dict(diagrams._SHAPES), dict(tableaux._PARTITIONS)
+    for bad in ((-1, 0), (0, -1)):
+        with pytest.raises(IndexOutOfRange):
+            Shape(*bad)
+    for bad in ((1, 2), (2, 0), (-1,)):
+        with pytest.raises(IndexOutOfRange):
+            Partition(bad)
+    # a float would be the r of every later shape of that value
+    with pytest.raises(TypeError):
+        Shape(2.0, 1)
+    bipartitions = dict(tableaux._BIPARTITIONS)
+    with pytest.raises(TypeError):
+        Bipartition((1,), Partition())
+    assert diagrams._SHAPES == shapes and tableaux._PARTITIONS == parts
+    assert tableaux._BIPARTITIONS == bipartitions
+    assert Shape(True, 1) is Shape(1, 1) and type(Shape(True, 1).r) is int
+
+
+def _interned_values():
+    p = Partition((3, 1))
+    return [(DELTA - 2) / (DELTA + 5), s_pair(S22, 1, 2), Shape(4, 1), p,
+            Bipartition(p, Partition((1, 1)))]
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_every_interned_class_pickles_to_the_interned_object(protocol):
+    for x in _interned_values():
+        assert pickle.loads(pickle.dumps(x, protocol)) is x
+
+
+def test_every_interned_class_copies_to_the_interned_object():
+    for x in _interned_values():
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_tableaux_and_their_records_pickle_and_copy(clone):
+    t = parse_tableau(GOLDEN_SPEC, S22)
+    c = clone(t)
+    assert c == t and hash(c) == hash(t)
+    assert all(x is y for x, y in zip(c.steps, t.steps, strict=True))
+    assert clone(triple_tableau(t)) == triple_tableau(t)
+    graph = bratteli(S22)
+    g = clone(graph)
+    assert g.shape is S22 and g.levels == graph.levels and g.edges == graph.edges
+
+
+def _values():
+    """One instance of each immutable value class."""
+    t = parse_tableau(GOLDEN_SPEC, S22)
+    return [DELTA / 3, s_pair(S22, 1, 2), S22, t.left_shape, t.final, t, jm_element(S22, 3)]
+
+
+def test_values_refuse_assignment_and_deletion():
+    classes = {DeltaScalar, WalledDiagram, Shape, Partition, Bipartition, WalledTableau,
+               AlgebraElement}
+    values = _values()
+    assert {type(x) for x in values} == classes
+    # `del x.num` on an interned scalar would strip it from every element
+    # that holds it
+    for x in values:
+        for field in type(x).__slots__:
+            before = getattr(x, field)
+            with pytest.raises(AttributeError):
+                setattr(x, field, before)
+            with pytest.raises(AttributeError):
+                delattr(x, field)
+            assert getattr(x, field) is before
+        with pytest.raises(AttributeError):
+            setattr(x, "other", None)
 
 
 # each command runs twice: under different hash seeds, and once after

@@ -114,3 +114,25 @@ def test_a_small_limit_empties_the_memo_and_keeps_the_results(fresh_paths, monke
                 assert memo.terms == sum(len(e.terms) for e, _ in memo.values()) <= limit
     assert clears > 0
     assert got == want + want
+
+
+def test_a_fused_element_refuses_mutation_and_the_memo_keeps_it(fresh_paths):
+    # the memo hands out the element it keeps, so a caller that could empty
+    # it would empty every later fusion of the path in the process
+    t = enumerate_tableaux(Shape(2, 1))[0]
+    e = fusion_idempotent(t)
+    want = json.dumps(element_to_json(e))
+    d = next(iter(e.terms))
+    with pytest.raises(AttributeError):
+        e.terms.clear()
+    with pytest.raises(TypeError):
+        e.terms[d] = e.terms[d] + 1
+    with pytest.raises(TypeError):
+        del e.terms[d]
+    for field in ("shape", "terms"):
+        with pytest.raises(AttributeError):
+            setattr(e, field, getattr(e, field))
+        with pytest.raises(AttributeError):
+            delattr(e, field)
+    again = fusion_idempotent(t)
+    assert again.terms and json.dumps(element_to_json(again)) == want
