@@ -73,16 +73,6 @@ def _rational(text: str) -> Fraction:
     return Fraction(value.num[0] if value.num else 0, value.den[0])
 
 
-def _seed(args) -> int:
-    text = os.environ.get("WBA_SEED")
-    if text is None:
-        return args.seed
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ParseError(f"WBA_SEED must be an integer, got {text!r}") from exc
-
-
 def _bounded_shape(args, max_sites: int) -> Shape:
     shape = Shape(args.r, args.s)
     if shape.n > max_sites:
@@ -177,9 +167,8 @@ def cmd_verify(args) -> int:
 
     checked = args.suite in ("all", "system")
     shape = _bounded_shape(args, _MAX_CHECKED_SITES if checked else _MAX_CERTIFIED_SITES)
-    seed = _seed(args)
     delta = None if args.delta_rational is None else _rational(args.delta_rational)
-    report = full_report(shape, seed=seed, suite=args.suite)
+    report = full_report(shape, seed=args.seed, suite=args.suite)
     obj = report.to_json()
     if delta is not None:
         obj["semisimple_at_delta"] = is_semisimple(shape.r, shape.s, delta)

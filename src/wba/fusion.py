@@ -38,6 +38,8 @@ from .scalars import DELTA, ONE, ZERO, DeltaScalar, affine, scalar_str
 from .tableaux import WalledTableau, exponents
 
 DEFAULT_H = affine(Fraction(1, 2), 3)
+# d/2, where the uniform factor evaluates its contraction kind
+_HALF_DELTA = affine(0, Fraction(1, 2))
 
 
 def _pair_generator(shape: Shape, kind: str, i: int, j: int):
@@ -104,7 +106,7 @@ def step_prefactor(shape: Shape, contents, k: int, h=None) -> tuple:
     zeros, poles = [c], [DELTA if after else ZERO]
     for cj in contents[shape.r if after else 0 : k - 1]:
         zeros += [cj, cj]
-        poles += [cj + 1, cj - 1]
+        poles += [cj + ONE, cj - ONE]
     if h is not None:
         zeros.append(h - DELTA)
         poles.append(h - c)
@@ -491,7 +493,7 @@ def _battery(shape: Shape) -> list:
         """The uniform factor: the crossing kind at u, the contraction kind at d/2 - u."""
         if (epsilon(shape, i) + epsilon(shape, j)) % 2 == 0:
             return s(i, j, u)
-        return d(i, j, affine(0, Fraction(1, 2)) - u)
+        return d(i, j, _HALF_DELTA - u)
 
     return [
         ("yang_baxter_crossings", [t for side in sides for t in combinations(side, 3)],
@@ -503,7 +505,7 @@ def _battery(shape: Shape) -> list:
         ("yang_baxter_mixed", mixed,
          lambda i, k, j, u, v: ([d(i, j, u), s(i, k, DELTA - u - v), d(k, j, v)], None)),
         ("crossing_unitarity", pairs,
-         lambda i, j, u, v: ([s(i, j, u), s(i, j, -u)], (u * u - 1) / (u * u))),
+         lambda i, j, u, v: ([s(i, j, u), s(i, j, -u)], (u * u - ONE) / (u * u))),
         ("contraction_unitarity", cross,
          lambda i, j, u, v: ([d(i, j, u), d(i, j, DELTA - u)], ONE)),
         # factors on four distinct sites commute

@@ -7,13 +7,12 @@ kept in one canonical form: gcd(num, den) = 1 in Q[d], the gcd of all
 coefficients of num and den together is 1, and den has a positive leading
 coefficient.  This is also the form the text output prints.  Canonical
 scalars are interned, so equal values are the same object: a scalar hashes
-and compares with another scalar by identity, at C speed.  The intern table
-is never emptied, which is what keeps identity and value equality one
-relation.  A scalar still equals the int or Fraction of the same value,
-DeltaScalar.from_int(1) == 1, but the two hash differently, so scalars and
-numbers must not be mixed as keys of one dict.  Keeping the parameter
-formal realizes the generic regime exactly; no numeric d is ever chosen and
-no floating point appears anywhere.
+and compares by identity, at C speed.  The intern table is never emptied,
+which is what keeps identity and value equality one relation.  A scalar
+equals only itself, never an int or Fraction: numbers enter Q(d) through
+from_int, from_fraction, affine, parse_scalar or arithmetic with a scalar.
+Keeping the parameter formal realizes the generic regime exactly; no
+numeric d is ever chosen and no floating point appears anywhere.
 
 Gcds come from a primitive polynomial remainder sequence over Z[d] and
 cofactors from exact division in Z[d], so no rational coefficient arises
@@ -229,10 +228,9 @@ class DeltaScalar:
 
     Every instance comes from the interning step that make and the field
     operations share, so equal scalars are one object: hashing and equality
-    between scalars are identity.  Copies and pickles go through make again
-    and so return the interned object, with the text it keeps.
-    A scalar equals the int or Fraction of its value, but hashes apart from
-    it.
+    are identity, inherited from object, and a scalar equals no number.
+    Copies and pickles go through make again and so return the interned
+    object, with the text it keeps.
     """
 
     __slots__ = ("num", "den", "_text")
@@ -277,19 +275,6 @@ class DeltaScalar:
 
     def __reduce__(self):
         return DeltaScalar.make, (self.num, self.den)
-
-    # defining __eq__ drops the inherited hash; interning makes identity the
-    # value hash
-    __hash__ = object.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, DeltaScalar):
-            return False
-        if isinstance(other, (int, Fraction)):
-            return self is _coerce(other)
-        return NotImplemented
 
     def __bool__(self):
         return bool(self.num)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Iterable, NamedTuple, Optional
 
 from .diagrams import Shape
@@ -38,7 +39,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __new__(cls, parts: tuple = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple([index(p) for p in parts])
         obj = _PARTITIONS.get(parts)
         if obj is None:
             if any(p <= 0 for p in parts):

@@ -155,50 +155,46 @@ def test_usage_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,stdin,env,error",
+    "argv,stdin,error",
     [
-        # the first five ids are those pytest gave these rows before the
+        # the first four ids are those pytest gave these rows before the
         # error field existed, so that the test names stay the same
         pytest.param(
-            ["mul", "{tmp}/missing.json", "{tmp}/x.json"], None, {}, "ParseError",
+            ["mul", "{tmp}/missing.json", "{tmp}/x.json"], None, "ParseError",
             id="argv0-None-env0",
         ),
-        pytest.param(["mul"], "not json", {}, "ParseError", id="argv1-not json-env1"),
+        pytest.param(["mul"], "not json", "ParseError", id="argv1-not json-env1"),
         pytest.param(
             ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--delta-rational", "abc"],
-            None, {}, "ParseError",
+            None, "ParseError",
             id="argv2-None-env2",
         ),
         pytest.param(
-            ["verify", "1", "1", "--suite", "system", "--delta-rational", "1/0"], None, {},
+            ["verify", "1", "1", "--suite", "system", "--delta-rational", "1/0"], None,
             "ParseError",
             id="argv3-None-env3",
         ),
         pytest.param(
-            ["verify", "1", "1", "--suite", "yang-baxter"], None, {"WBA_SEED": "x"}, "ParseError",
-            id="argv4-None-env4",
-        ),
-        pytest.param(
-            ["mul"], json.dumps([{"r": "x", "s": 1, "terms": []}, EMPTY_11]), {}, "ParseError",
+            ["mul"], json.dumps([{"r": "x", "s": 1, "terms": []}, EMPTY_11]), "ParseError",
             id="mul-non-integer-shape",
         ),
         pytest.param(
             ["mul"],
             json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [1, 2], "coeff": LONG}]}, EMPTY_11]),
-            {}, "ParseError",
+            "ParseError",
             id="mul-long-coeff",
         ),
         pytest.param(
             ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
-             "--h", LONG], None, {}, "ParseError",
+             "--h", LONG], None, "ParseError",
             id="idempotent-long-h",
         ),
         pytest.param(
-            ["idempotent", "1", "1", "--tableau", "L+1,1;L-1," + LONG], None, {}, "ParseError",
+            ["idempotent", "1", "1", "--tableau", "L+1,1;L-1," + LONG], None, "ParseError",
             id="idempotent-long-move",
         ),
         pytest.param(
-            ["mul", "-"], json.dumps([{"r": 1.7, "s": True, "terms": []}, EMPTY_11]), {},
+            ["mul", "-"], json.dumps([{"r": 1.7, "s": True, "terms": []}, EMPTY_11]),
             "ParseError",
             id="mul-float-and-bool-shape",
         ),
@@ -206,75 +202,73 @@ def test_usage_error_exit_code(capsys):
             ["mul"],
             json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [2, True], "coeff": "1"}]},
                         EMPTY_11]),
-            {}, "ParseError",
+            "ParseError",
             id="mul-bool-in-diagram",
         ),
         pytest.param(
             ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
-             "--h", NESTED], None, {}, "ParseError",
+             "--h", NESTED], None, "ParseError",
             id="idempotent-nested-h",
         ),
         pytest.param(
             ["mul"],
             json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [1, 2], "coeff": NESTED}]},
                         EMPTY_11]),
-            {}, "ParseError",
+            "ParseError",
             id="mul-nested-coeff",
         ),
         pytest.param(
-            ["mul"], "[" * 100_000 + "]" * 100_000, {}, "ParseError", id="mul-nested-json"
+            ["mul"], "[" * 100_000 + "]" * 100_000, "ParseError", id="mul-nested-json"
         ),
         pytest.param(
-            ["verify", "1", "1", "--suite", "system", "--delta-rational", "d"], None, {},
+            ["verify", "1", "1", "--suite", "system", "--delta-rational", "d"], None,
             "ParseError",
             id="verify-delta-not-constant",
         ),
         pytest.param(
             ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
-             "--h", ""], None, {}, "ParseError",
+             "--h", ""], None, "ParseError",
             id="idempotent-empty-h",
         ),
         pytest.param(
-            ["verify", "1", "1", "--suite", "nope"], None, {}, "ParseError", id="argparse-choice"
+            ["verify", "1", "1", "--suite", "nope"], None, "ParseError", id="argparse-choice"
         ),
         # a negative value after a space is read as an option
-        pytest.param(["verify", "1", "1", "--delta-rational", "-3/2"], None, {}, "ParseError",
+        pytest.param(["verify", "1", "1", "--delta-rational", "-3/2"], None, "ParseError",
                      id="argparse-negative-value"),
         pytest.param(
-            ["idempotent", "1", "1"], None, {}, "ParseError", id="argparse-missing-tableau"
+            ["idempotent", "1", "1"], None, "ParseError", id="argparse-missing-tableau"
         ),
-        pytest.param(["jm", "1", "1", "x"], None, {}, "ParseError", id="argparse-non-integer"),
+        pytest.param(["jm", "1", "1", "x"], None, "ParseError", id="argparse-non-integer"),
         # the pretty display would drop the certification block
         pytest.param(
-            ["idempotent", "2", "2", "--tableau", GOLDEN_SPEC, "--pretty", "--check"], None, {},
+            ["idempotent", "2", "2", "--tableau", GOLDEN_SPEC, "--pretty", "--check"], None,
             "ParseError", id="argparse-pretty-with-check",
         ),
-        pytest.param([], None, {}, "ParseError", id="argparse-no-subcommand"),
-        pytest.param(["mul", "{tmp}/x.json"], None, {}, "ParseError", id="mul-one-file"),
-        pytest.param(["mul"], '{"a": 1}', {}, "ParseError", id="mul-stdin-not-a-pair"),
+        pytest.param([], None, "ParseError", id="argparse-no-subcommand"),
+        pytest.param(["mul", "{tmp}/x.json"], None, "ParseError", id="mul-one-file"),
+        pytest.param(["mul"], '{"a": 1}', "ParseError", id="mul-stdin-not-a-pair"),
         pytest.param(
             ["mul"],
             json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [1, 2], "coeff": "1"}] * 2},
                         EMPTY_11]),
-            {}, "ParseError",
+            "ParseError",
             id="mul-duplicate-diagram",
         ),
         pytest.param(
-            ["jm", "2", "2", "9"], None, {}, "IndexOutOfRange", id="jm-site-out-of-range"
+            ["jm", "2", "2", "9"], None, "IndexOutOfRange", id="jm-site-out-of-range"
         ),
         pytest.param(
             ["mul"],
             json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [1, 1], "coeff": "1"}]}, EMPTY_11]),
-            {}, "IndexOutOfRange",
+            "IndexOutOfRange",
             id="mul-diagram-not-a-permutation",
         ),
     ],
 )
-def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, stdin, env, error):
+def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, stdin, error):
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     code, out = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 2
     assert json.loads(out)["error"]["type"] == error
@@ -490,12 +484,6 @@ def test_verify_reports_semisimplicity(capsys):
     )
     assert code == 0
     assert json.loads(out)["semisimple_at_delta"] is True
-
-
-def test_verify_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("WBA_SEED", "17")
-    code, out = run(capsys, "verify", "1", "1", "--suite", "yang-baxter")
-    assert code == 0
 
 
 def test_output_determinism(capsys):

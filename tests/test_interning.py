@@ -82,7 +82,24 @@ def test_interned_classes_hash_by_identity():
         assert cls.__hash__ is object.__hash__
         assert "_hash" not in cls.__slots__
     assert DELTA == DeltaScalar.make((0, 2), (2,)) and DELTA != ONE
-    assert DeltaScalar.from_int(1) == 1 and ONE == Fraction(1) and ONE != 2
+    assert DeltaScalar.from_int(1) != 1 and ONE != Fraction(1) and ONE != 2
+
+
+def test_a_scalar_equals_only_itself():
+    assert DeltaScalar.__eq__ is object.__eq__ and DeltaScalar.__hash__ is object.__hash__
+    assert not {"__eq__", "__ne__", "__hash__"} & set(vars(DeltaScalar))
+    # equal to no number, so it cannot be a dict key equal to one while
+    # hashing apart from it
+    assert 1 not in {ONE} and ZERO != 0 and DELTA != Fraction(1)
+    # and a comparison with a number coerces and interns nothing
+    size = len(scalars._INTERN)
+    assert ONE != 10**40 and affine(2) != Fraction(7, 3) and not (DELTA == 10**40 + 1)
+    assert len(scalars._INTERN) == size
+    # numbers still enter Q(d) through arithmetic
+    x = (DELTA - 2) / (DELTA + 5)
+    assert x + 1 is x + ONE and 1 - x is ONE - x and 2 * x is x * affine(2)
+    assert x / Fraction(2, 3) is x * affine(Fraction(3, 2)) and 1 / x is x.inverse()
+    assert DELTA - DELTA is ZERO and str(x + Fraction(1, 2)) == "(3*d+1)/(2*d+10)"
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
@@ -146,6 +163,16 @@ def test_invalid_values_raise_and_are_not_interned():
     assert diagrams._SHAPES == shapes and tableaux._PARTITIONS == parts
     assert tableaux._BIPARTITIONS == bipartitions
     assert Shape(True, 1) is Shape(1, 1) and type(Shape(True, 1).r) is int
+
+
+def test_partition_parts_must_be_integers():
+    # int() would read 2.5 as 2 and "3" as 3, and intern nothing new for them
+    parts = dict(tableaux._PARTITIONS)
+    for bad in ((2.5, 1.9), ("3",), (2.0,)):
+        with pytest.raises(TypeError):
+            Partition(bad)
+    assert tableaux._PARTITIONS == parts
+    assert Partition((True,)) is Partition((1,)) and type(Partition((True,)).parts[0]) is int
 
 
 def _interned_values():

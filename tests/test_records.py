@@ -1,8 +1,9 @@
 """The package's record classes.  Each value class, hand-written or a
 NamedTuple, is equal and hashes equal to an instance built separately from
 equal values (the interned ones are that instance), and refuses assignment
-and deletion.  The report builders are plain `__slots__` classes filled in
-place."""
+and deletion.  The reports are plain `__slots__` classes with identity
+equality: `BratteliGraph` is built once by `bratteli()`, and `CertReport` is
+filled in place."""
 
 import pytest
 

@@ -7,16 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, timeout=120):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -83,11 +85,33 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_digests_match_the_recorded_elements():
-    proc = run_script("digests.py", "5")
+# the same for the shapes of six sites, from `digests.py 6`
+SIX_SITE_DIGESTS = {
+    (0, 6): "1ee548457397d873e706e47e10b3a78683016c88716c425855f21da2831383ca",
+    (1, 5): "f6da9658d49bc9145cbad6c8e65b87f3f79184860579f01aff471832ccba270f",
+    (2, 4): "ebd51fc64907996d4d1a89de8bd6d52479cbba138fb649bf38029cbecbea0920",
+    (3, 3): "70267d28dfba16b55fb745246ea0df74eac44ed0ebf19beb3b7262b067f866d9",
+    (4, 2): "c6ca84471c80b85527a929aa330c671549b7e2d17a3027049ecd6cae1cba7339",
+    (5, 1): "1d8e810077b5a618a5b3016489fff5685d489b0328809940d10bc827f19e335c",
+    (6, 0): "13d07b91dbb60d78ac429ad0f83bb3ba339bc5c7f317e91bc0383c5c27a141bf",
+}
+
+
+def _digests_by_shape(max_sites, timeout=120):
+    proc = run_script("digests.py", str(max_sites), timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     by_shape: dict = {}
     for line in proc.stdout.splitlines(keepends=True):
         r, s = map(int, line.split()[:2])
         by_shape.setdefault((r, s), hashlib.sha256()).update(line.encode())
-    assert {shape: h.hexdigest() for shape, h in by_shape.items()} == GOLDEN_DIGESTS
+    return {shape: h.hexdigest() for shape, h in by_shape.items()}
+
+
+def test_digests_match_the_recorded_elements():
+    assert _digests_by_shape(5) == GOLDEN_DIGESTS
+
+
+@pytest.mark.slow
+def test_six_site_digests_match_the_recorded_elements():
+    # 3 048 lines; about 30 s on a 2-core machine
+    assert _digests_by_shape(6, timeout=600) == {**GOLDEN_DIGESTS, **SIX_SITE_DIGESTS}

@@ -268,3 +268,26 @@ def test_full_report_sections():
     js = report.to_json()
     assert js["ok"]
     assert "timings" in js
+
+
+SYSTEM_FIELDS = (
+    "tableaux", "orthogonal", "orthogonality_pairs", "orthogonality_failures",
+    "completeness_ok", "completeness_residual_terms", "spectra_distinct",
+)
+
+
+@pytest.mark.parametrize("suite", ["lemmas", "exponents"])
+def test_a_report_prints_only_the_sections_that_ran(suite):
+    # check_system did not run, so the system fields claim nothing
+    report = full_report(S22, seed=0, suite=suite)
+    js = json.loads(json.dumps(report.to_json()))
+    assert report.ok and js["ok"]
+    assert [js[name] for name in SYSTEM_FIELDS] == [None] * len(SYSTEM_FIELDS)
+    assert {name for name in ("identities", "lemmas", "exponents") if js[name]} == {suite}
+    assert set(js["timings"]) == {suite}
+    # a failed section that ran still fails the report
+    if suite == "lemmas":
+        report.lemmas["wall_crossing"]["pass"] = False
+    else:
+        report.exponent_runs["pass"] = False
+    assert not report.ok
