@@ -113,10 +113,15 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, c) -> "AlgebraElement":
+        """c times self; each distinct coefficient is multiplied once, since
+        an element carries few of them over many terms."""
         c = _scalar(c)
+        if c is ONE:
+            return self
         if c is ZERO:
             return AlgebraElement.zero(self.shape)
-        return _element(self.shape, {d: a * c for d, a in self.terms.items()})
+        scaled = {a: a * c for a in set(self.terms.values())}
+        return _element(self.shape, {d: scaled[a] for d, a in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -179,11 +184,8 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     once, and per-diagram sums count repeated values before touching the
     canonicalizing scalar addition.  Elements carry few distinct
     coefficients, so many output diagrams receive the same {value:
-    multiplicity} bucket; a dict local to the call sums each distinct
-    bucket of two or more values once.  An operand whose terms all carry one
-    coefficient, such as a fusion factor c*g, enters the buckets with weight
-    ONE, and each distinct output value is multiplied by that coefficient
-    once at the end, so the sums never carry it.
+    multiplicity} bucket; a dict local to the call sums each distinct bucket
+    once, and a bucket of one value taken once is the result as it stands.
     """
     shape = a.shape
     space = _shape_entry(shape)
@@ -202,15 +204,6 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     groups_b: dict = {}
     for d, c in b.terms.items():
         groups_b.setdefault(c, []).append(d)
-    # the coefficient pulled out of one-coefficient operands
-    factor = ONE
-    if len(groups_a) == 1:
-        ((factor, das),) = groups_a.items()
-        groups_a = {ONE: das}
-    if len(groups_b) == 1:
-        ((cb, dbs),) = groups_b.items()
-        factor = factor * cb
-        groups_b = {ONE: dbs}
 
     buckets: dict = {}
     for ca, das in groups_a.items():
@@ -235,23 +228,17 @@ def _mul_elements(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     sums: dict = {}
     for idx, bucket in buckets.items():
         if len(bucket) == 1:
-            # a product of nonzero scalars, so never zero
             ((c, k),) = bucket.items()
-            out[by_idx[idx]] = c if k == 1 else c * k
-            continue
+            if k == 1:
+                # a product of nonzero scalars, so never zero
+                out[by_idx[idx]] = c
+                continue
         key = frozenset(bucket.items())
         acc = sums.get(key)
         if acc is None:
             acc = sums[key] = scalar_linear_combination(bucket.items())
         if acc is not ZERO:
             out[by_idx[idx]] = acc
-    if factor is not ONE:
-        scaled: dict = {}
-        for d, c in out.items():
-            fc = scaled.get(c)
-            if fc is None:
-                fc = scaled[c] = c * factor
-            out[d] = fc
     return _element(shape, out)
 
 

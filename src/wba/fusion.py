@@ -136,20 +136,23 @@ def _fold(e, factors, c, depth: int, multiply_left=False) -> list:
     A numerator (eps + t) + coeff*g, t = c - root, is divided by t, or left
     as it is where t = 0: the two-term series f0 + f1*eps with
     f0 = 1 + coeff*g/t and f1 = 1/t, or f0 = coeff*g and f1 = 1.  Each factor
-    maps E_j to E_j*f0 + f1*E_{j-1}, one product with a single diagram.
+    maps E_j to E_j*f0 + f1*E_{j-1}, one product with a single diagram.  That
+    product is taken by the bare generator g and then scaled by coeff*f1,
+    which depends on the point c: sums that carried it would intern
+    point-dependent scalars in a table that is never emptied.
     """
     series = [e] + [AlgebraElement.zero(e.shape)] * depth
     for root, gen, coeff in reversed(factors) if multiply_left else factors:
         t = c - root
         f1 = t.inverse() if t is not ZERO else ONE
-        g = AlgebraElement.from_diagram(gen, coeff * f1)
+        g, gc = AlgebraElement.from_diagram(gen), coeff * f1
         for j in range(depth, -1, -1):
             ej = series[j]
-            term = (g * ej if multiply_left else ej * g) if ej else ej
+            term = (g * ej if multiply_left else ej * g).scale(gc) if ej else ej
             if t is not ZERO:
                 term = term + ej
             if j and series[j - 1]:
-                term = term + (series[j - 1] if f1 is ONE else series[j - 1].scale(f1))
+                term = term + series[j - 1].scale(f1)
             series[j] = term
     return series
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import wba.algebra as algebra
 import wba.diagrams as diagrams_module
+import wba.fusion as fusion
+import wba.scalars as scalars
 from wba.algebra import (
     AlgebraElement,
     element_from_json,
@@ -447,8 +449,8 @@ def one_coefficient(c, *diagrams) -> AlgebraElement:
 
 @pytest.mark.parametrize("shape", [Shape(2, 2), Shape(3, 1), Shape(4, 1)])
 def test_product_with_one_coefficient_operands(shape):
-    # an operand whose terms all carry C enters the sums with weight ONE and
-    # C multiplies the result: left only, right only and both sides
+    # an operand whose terms all carry one coefficient goes through the same
+    # sums as any other: left only, right only and both sides
     e = fusion_idempotent(enumerate_tableaux(shape)[-1])
     i, s1, d = identity(shape), s_gen(shape, 1), d_gen(shape)
     lone = one_coefficient(C, i, s1, d)
@@ -465,8 +467,9 @@ def test_product_with_one_coefficient_operands(shape):
 
 
 def test_product_by_one_coefficient_sums_independently_of_it(monkeypatch):
-    # e * (c*d) hands scalar_linear_combination the sums of e * d, whatever
-    # c is, and multiplies c into each distinct result once
+    # the fold multiplies e by the bare generator and scales the product by
+    # the factor's coefficient, so folding e through one factor hands
+    # scalar_linear_combination the same sums at every evaluation point
     shape = Shape(4, 1)
     e = fusion_idempotent(enumerate_tableaux(shape)[S41_IDEMPOTENTS[1]])
     g = d_gen(shape)
@@ -482,7 +485,48 @@ def test_product_by_one_coefficient_sums_independently_of_it(monkeypatch):
     sums = []
     for c in (C, parse_scalar("5/(d+7)")):
         calls.clear()
-        factor = AlgebraElement.from_diagram(g, c)
-        assert (e * factor).terms == oracle_product(e, factor)
+        # the factor ((u - 1) - g)/(u - 1) at u = c
+        (folded,) = fusion._fold(e, [(ONE, g, -ONE)], c, 0)
+        factor = one(shape) - AlgebraElement.from_diagram(g, (c - ONE).inverse())
+        assert folded.terms == oracle_product(e, factor)
         sums.append(list(calls))
     assert sums[0] and sums[0] == sums[1]
+
+
+def test_scale_multiplies_each_distinct_coefficient_once(monkeypatch):
+    e = fusion_idempotent(enumerate_tableaux(Shape(4, 1))[S41_IDEMPOTENTS[1]])
+    assert e.scale(ONE) is e
+    want = {d: c * C for d, c in e.terms.items()}
+    original = DeltaScalar.__mul__
+    scaled = []
+
+    def counted(self, other):
+        if other is C:
+            scaled.append(self)
+        return original(self, other)
+
+    monkeypatch.setattr(DeltaScalar, "__mul__", counted)
+    assert e.scale(C).terms == want
+    assert sorted(map(id, scaled)) == sorted(map(id, set(e.terms.values())))
+    assert len(scaled) < len(e.terms)
+
+
+def test_product_coerces_no_number(monkeypatch):
+    # a bucket of one value taken k > 1 times is summed, not multiplied by
+    # the int k, so no number enters Q(d) inside a product
+    e = fusion_idempotent(enumerate_tableaux(Shape(4, 1))[S41_IDEMPOTENTS[0]])
+    assert any(
+        len(bucket) == 1 and max(bucket.values()) > 1
+        for bucket in product_buckets(e, e).values()
+    )
+    original = scalars._coerce
+    numbers = []
+
+    def recorded(x):
+        if not isinstance(x, DeltaScalar):
+            numbers.append(x)
+        return original(x)
+
+    monkeypatch.setattr(scalars, "_coerce", recorded)
+    assert e * e == e
+    assert numbers == []
