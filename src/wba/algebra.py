@@ -44,10 +44,15 @@ class AlgebraElement:
     __slots__ = ("shape", "terms")
 
     def __init__(self, shape: Shape, terms: dict):
-        # each coefficient becomes a scalar first, so a 0 is dropped like
-        # ZERO and a float or string is refused
+        # each key must be a diagram of this shape, and each coefficient
+        # becomes a scalar first, so a 0 is dropped like ZERO and a float or
+        # string is refused
         out = {}
         for d, c in terms.items():
+            if d.__class__ is not WalledDiagram:
+                raise TypeError(f"not a walled diagram: {type(d).__name__} {d!r}")
+            if d.shape is not shape:
+                raise ShapeMismatch(f"{d!r} is not a diagram of shape {shape}")
             c = _scalar(c)
             if c is not ZERO:
                 out[d] = c

@@ -10,7 +10,8 @@ scalars are interned, so equal values are the same object: a scalar hashes
 and compares by identity, at C speed.  The intern table is never emptied,
 which is what keeps identity and value equality one relation.  A scalar
 equals only itself, never an int or Fraction: numbers enter Q(d) through
-from_int, from_fraction, affine, parse_scalar or arithmetic with a scalar.
+from_int, from_fraction, affine, parse_scalar or arithmetic with a scalar,
+and each of these refuses a float.
 Keeping the parameter formal realizes the generic regime exactly; no
 numeric d is ever chosen and no floating point appears anywhere.
 
@@ -259,13 +260,15 @@ class DeltaScalar:
 
     @staticmethod
     def from_fraction(q) -> "DeltaScalar":
-        q = Fraction(q)
+        """The constant q, an int or a Fraction."""
+        q = _rational(q)
         return DeltaScalar.make((q.numerator,), (q.denominator,))
 
     @staticmethod
     def poly(coeffs) -> "DeltaScalar":
-        """The polynomial with these rational coefficients, by increasing power."""
-        coeffs = [Fraction(c) for c in coeffs]
+        """The polynomial with these coefficients, ints or Fractions, by
+        increasing power."""
+        coeffs = [_rational(c) for c in coeffs]
         den = lcm(*(c.denominator for c in coeffs))
         return DeltaScalar.make(
             tuple(c.numerator * (den // c.denominator) for c in coeffs), (den,)
@@ -382,6 +385,14 @@ class DeltaScalar:
         return f"DeltaScalar({scalar_str(self)!r})"
 
 
+def _rational(q) -> Fraction:
+    """An int or a Fraction as a Fraction; a float or a string is refused, so
+    no floating point and no text enters Q(d) as a number."""
+    if isinstance(q, (int, Fraction)):
+        return Fraction(q)
+    raise TypeError(f"not a rational number: {type(q).__name__} {q!r}")
+
+
 def _coerce(x):
     if isinstance(x, DeltaScalar):
         return x
@@ -484,7 +495,8 @@ def scalar_linear_combination(items) -> DeltaScalar:
 
 
 def affine(a, b=0) -> DeltaScalar:
-    """The scalar a + b*d with rational a, b; the form every content takes."""
+    """The scalar a + b*d for ints or Fractions a, b; the form every content
+    takes."""
     return DeltaScalar.poly((a, b))
 
 

@@ -8,22 +8,21 @@ sequences, contents and exponents are derived.  Cells are 1-based (row,
 column).
 
 Sign conventions: contents use column - row (plus d for right additions,
-negated for removals); the diagonal statistics g, theta and the Laplacian are
-indexed by row - column.  Both conventions are kept explicit in the API names
-to avoid sign bugs.
+negated for removals); the exponent rule theta indexes diagonals by
+row - column.  Both conventions are kept explicit in the API names to avoid
+sign bugs.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from operator import index
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .diagrams import Shape
 from .errors import IllegalMove, IndexOutOfRange, ParseError
-from .scalars import DeltaScalar, _immutable, _setattr, affine, scalar_str
+from .scalars import DeltaScalar, _immutable, _rational, _setattr, affine, scalar_str
 
 # Partitions and bipartitions are interned like shapes, in tables that are
 # never emptied: equal values are one object, hashed and compared by
@@ -55,11 +54,6 @@ class Partition:
 
     def __reduce__(self):
         return Partition, (self.parts,)
-
-    def cells(self) -> tuple:
-        return tuple(
-            (i, j) for i, row in enumerate(self.parts, 1) for j in range(1, row + 1)
-        )
 
     def addable_cells(self) -> tuple:
         out = []
@@ -274,15 +268,14 @@ def _legal_moves(state: Bipartition, t: int, r: int) -> tuple:
     return tuple(moves)
 
 
-def enumerate_tableaux(shape: Shape, final: Optional[Bipartition] = None) -> list:
-    """All walled tableaux of the shape, optionally filtered by final bipartition."""
+def enumerate_tableaux(shape: Shape) -> list:
+    """All walled tableaux of the shape."""
     r, n = shape.r, shape.n
     out = []
 
     def extend(state, t, acc):
         if t > n:
-            if final is None or state == final:
-                out.append(WalledTableau(shape, tuple(acc)))
+            out.append(WalledTableau(shape, tuple(acc)))
             return
         for move in _legal_moves(state, t, r):
             acc.append(move)
@@ -291,88 +284,6 @@ def enumerate_tableaux(shape: Shape, final: Optional[Bipartition] = None) -> lis
 
     extend(Bipartition(), 1, [])
     return out
-
-
-def tableau_from_contents(shape: Shape, contents: Iterable[DeltaScalar]) -> WalledTableau:
-    """Rebuild the unique path with the given content sequence."""
-    r = shape.r
-    state = Bipartition()
-    moves = []
-    for t, c in enumerate(contents, 1):
-        matches = [m for m in _legal_moves(state, t, r) if m.content() == c]
-        if len(matches) != 1:
-            raise IllegalMove(t, f"{len(matches)} moves match content {scalar_str(c)}")
-        state = _advance(state, matches[0])
-        moves.append(matches[0])
-    return WalledTableau(shape, tuple(moves))
-
-
-class TripleTableau(NamedTuple):
-    """The triple diagram of a path with its standard fillings.
-
-    lambda_prime is the left diagram when the wall is reached, nu the final
-    left diagram, lambda_second the final right diagram.  fill_prime numbers
-    the cells of lambda_prime by addition order (1..r); removed_fill and
-    right_fill number the cells of lambda_prime \\ nu and lambda_second by the
-    order of the after-wall steps (r+1..n).
-    """
-
-    lambda_prime: Partition
-    nu: Partition
-    lambda_second: Partition
-    fill_prime: tuple
-    removed_fill: tuple
-    right_fill: tuple
-
-
-def triple_tableau(t: WalledTableau) -> TripleTableau:
-    r = t.shape.r
-    fill_prime = {}
-    removed_fill = {}
-    right_fill = {}
-    for k, move in enumerate(t.moves, 1):
-        cell = (move.row, move.col)
-        if k <= r:
-            fill_prime[cell] = k
-        elif move.kind == "L-":
-            removed_fill[cell] = k
-        else:
-            right_fill[cell] = k
-    return TripleTableau(
-        lambda_prime=t.left_shape,
-        nu=t.final.left,
-        lambda_second=t.final.right,
-        fill_prime=tuple(sorted(fill_prime.items())),
-        removed_fill=tuple(sorted(removed_fill.items())),
-        right_fill=tuple(sorted(right_fill.items())),
-    )
-
-
-def tableau_from_triple(tt: TripleTableau, shape: Shape) -> WalledTableau:
-    """Inverse of triple_tableau; validates standardness on reconstruction."""
-    by_step = {}
-    for cell, k in tt.fill_prime:
-        by_step[k] = Move("L+", *cell)
-    for cell, k in tt.removed_fill:
-        by_step[k] = Move("L-", *cell)
-    for cell, k in tt.right_fill:
-        by_step[k] = Move("R+", *cell)
-    if sorted(by_step) != list(range(1, shape.n + 1)):
-        raise IllegalMove(len(by_step) + 1, "fillings do not cover steps 1..n")
-    return WalledTableau(shape, tuple(by_step[k] for k in range(1, shape.n + 1)))
-
-
-# Diagonal statistics; all indexed by row - column.
-
-def _cellset(x) -> frozenset:
-    if isinstance(x, Partition):
-        return frozenset(x.cells())
-    return frozenset((int(i), int(j)) for i, j in x)
-
-
-def diag_len(x, k: int) -> int:
-    """Number of cells (i, j) with i - j = k in a partition or cell set."""
-    return sum(1 for i, j in _cellset(x) if i - j == k)
 
 
 def theta(gamma: Partition, k: int) -> int:
@@ -384,12 +295,6 @@ def theta(gamma: Partition, k: int) -> int:
     if any(i - j == k for i, j in gamma.removable_cells()):
         return 1
     return 0
-
-
-def laplacian(x, k: int) -> int:
-    """The negative Laplacian 2g(k) - g(k+1) - g(k-1) of the diagonal lengths."""
-    cells = _cellset(x)
-    return 2 * diag_len(cells, k) - diag_len(cells, k + 1) - diag_len(cells, k - 1)
 
 
 def exponents(t: WalledTableau) -> tuple:
@@ -405,7 +310,9 @@ def exponents(t: WalledTableau) -> tuple:
 
 
 def is_semisimple(r: int, s: int, delta) -> bool:
-    delta = Fraction(delta)
+    """Whether the algebra of shape (r, s) is semisimple at the rational
+    d = delta, an int or a Fraction."""
+    delta = _rational(delta)
     if r == 0 or s == 0:
         return True
     if delta.denominator != 1:

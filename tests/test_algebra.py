@@ -29,6 +29,7 @@ from wba.diagrams import (
     d_pair,
     identity,
     make_diagram,
+    s_pair,
     vertical_flip,
 )
 from wba.errors import ParseError, ShapeMismatch
@@ -123,6 +124,21 @@ def test_constructor_coerces_its_coefficients():
     assert (half * half).terms == oracle_product(half, half)
     with pytest.raises(TypeError):
         AlgebraElement(shape, {i: 0.5})
+
+
+def test_constructor_refuses_a_term_that_is_not_a_diagram_of_its_shape():
+    # a (3,0) diagram under shape (2,2) would be read at its own index in
+    # the (2,2) store, so the product would silently answer another diagram
+    shape = Shape(2, 2)
+    with pytest.raises(ShapeMismatch):
+        AlgebraElement(shape, {s_pair(Shape(3, 0), 1, 2): 1})
+    with pytest.raises(ShapeMismatch):
+        AlgebraElement(shape, {identity(Shape(2, 1)): 1, identity(shape): 1})
+    with pytest.raises(TypeError):
+        AlgebraElement(shape, {"x": 1})
+    with pytest.raises(TypeError):
+        AlgebraElement(shape, {(1, 2, 3, 4): 1})
+    assert AlgebraElement(shape, {identity(shape): 1}) == one(shape)
 
 
 def test_jm_examples():

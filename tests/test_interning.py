@@ -29,8 +29,8 @@ from wba.tableaux import (
     WalledTableau,
     bratteli,
     parse_tableau,
-    triple_tableau,
 )
+from tableau_oracles import triple_tableau
 
 S22 = Shape(2, 2)
 GOLDEN_SPEC = "L+1,1;L+2,1;L-2,1;L-1,1"

@@ -1,7 +1,8 @@
-"""The package's record classes.  Each value class, hand-written or a
-NamedTuple, is equal and hashes equal to an instance built separately from
-equal values (the interned ones are that instance), and refuses assignment
-and deletion.  The reports are plain `__slots__` classes with identity
+"""The package's record classes, and the tests' `TripleTableau` (in
+`tableau_oracles`).  Each value class, hand-written or a NamedTuple, is
+equal and hashes equal to an instance built separately from equal values
+(the interned ones are that instance), and refuses assignment and
+deletion.  The reports are plain `__slots__` classes with identity
 equality: `BratteliGraph` is built once by `bratteli()`, and `CertReport` is
 filled in place."""
 
@@ -17,9 +18,9 @@ from wba.tableaux import (
     bratteli,
     enumerate_tableaux,
     parse_tableau,
-    triple_tableau,
 )
 from wba.verify import CertReport, TableauCert
+from tableau_oracles import triple_tableau
 
 S22 = Shape(2, 2)
 GOLDEN_SPEC = "L+1,1;L+2,1;L-2,1;L-1,1"

@@ -159,6 +159,25 @@ def test_parse_refuses_a_non_string(value):
         parse_scalar(value)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DeltaScalar.from_fraction(0.1),
+        lambda: DeltaScalar.from_fraction("3/4"),
+        lambda: affine(0.5, 1),
+        lambda: affine(0, "1"),
+        lambda: DeltaScalar.poly([0.25, "1/3"]),
+        lambda: DeltaScalar.poly([1, Fraction(1, 2), 0.5]),
+    ],
+    ids=["fraction-float", "fraction-str", "affine-float", "affine-str", "poly-mixed",
+         "poly-last-float"],
+)
+def test_rational_constructors_refuse_floats_and_strings(build):
+    # numbers enter Q(d) as ints or Fractions only, as in arithmetic
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_parse_integer_at_the_digit_bound():
     assert parse_scalar("9" * 1000) == DeltaScalar.from_int(10**1000 - 1)
 

@@ -10,19 +10,23 @@ from wba.tableaux import (
     Bipartition,
     Move,
     Partition,
-    TripleTableau,
     _advance,
+    _partitions_of,
     bratteli,
-    diag_len,
     enumerate_bipartitions,
     enumerate_tableaux,
     exponents,
     is_semisimple,
-    laplacian,
     parse_tableau,
+    theta,
+)
+from tableau_oracles import (
+    TripleTableau,
+    cells,
+    diag_len,
+    laplacian,
     tableau_from_contents,
     tableau_from_triple,
-    theta,
     triple_tableau,
 )
 
@@ -73,13 +77,13 @@ def test_bipartition_enumeration_counts():
 
 
 def test_tableau_counts_22():
-    assert len(enumerate_tableaux(S22, Bipartition(P(1), P(1)))) == 4
-    assert len(enumerate_tableaux(S22, Bipartition(P(), P()))) == 2
     allt = enumerate_tableaux(S22)
     assert len(allt) == 10
     by_final = {}
     for t in allt:
         by_final.setdefault(t.final, []).append(t)
+    assert len(by_final[Bipartition(P(1), P(1))]) == 4
+    assert len(by_final[Bipartition(P(), P())]) == 2
     mult = sorted(len(v) for v in by_final.values())
     assert mult == [1, 1, 1, 1, 2, 4]
     assert sum(m * m for m in mult) == 24 == math.factorial(4)
@@ -196,15 +200,28 @@ def test_theta_cases_exclusive_up_to_size_8():
     for n in range(9):
         for ps in parts(n):
             gamma = Partition(ps)
-            cells = set(gamma.cells())
+            region = set(cells(gamma))
             for k in range(-n - 1, n + 2):
-                diagonal = sorted(c for c in cells if c[0] - c[1] == k)
+                diagonal = sorted(c for c in region if c[0] - c[1] == k)
                 m = len(diagonal) + 1
                 outward = (k + m, m) if k >= 0 else (m, m - k)
-                can_add = _is_young(cells | {outward})
-                can_remove = bool(diagonal) and _is_young(cells - {diagonal[-1]})
+                can_add = _is_young(region | {outward})
+                can_remove = bool(diagonal) and _is_young(region - {diagonal[-1]})
                 assert not (can_add and can_remove)
                 assert theta(gamma, k) == (-1 if can_add else 1 if can_remove else 0)
+
+
+def test_theta_is_the_laplacian_form_up_to_size_8():
+    # the exponent rule against the paper's diagonal form: theta(gamma, k) is
+    # the negative Laplacian of gamma's diagonal lengths at k, less 1 on the
+    # main diagonal, for every partition of size <= 8 and |k| <= size + 3
+    cases = 0
+    for n in range(9):
+        for gamma in _partitions_of(n):
+            for k in range(-n - 3, n + 4):
+                assert theta(gamma, k) == laplacian(gamma, k) - (k == 0), (gamma, k)
+                cases += 1
+    assert cases == 1301
 
 
 def test_laplacian_values():
@@ -223,10 +240,10 @@ def test_laplacian_skew_region_cases():
 
 
 def test_laplacian_telescopes_to_zero():
-    for cells in [P(3, 1).cells(), {(1, 2), (2, 1)}, {(2, 3), (1, 1)}, P(4, 4, 2).cells()]:
-        lo = min(i - j for i, j in cells) - 2
-        hi = max(i - j for i, j in cells) + 2
-        assert sum(laplacian(cells, k) for k in range(lo, hi + 1)) == 0
+    for region in [cells(P(3, 1)), {(1, 2), (2, 1)}, {(2, 3), (1, 1)}, cells(P(4, 4, 2))]:
+        lo = min(i - j for i, j in region) - 2
+        hi = max(i - j for i, j in region) + 2
+        assert sum(laplacian(region, k) for k in range(lo, hi + 1)) == 0
 
 
 def test_exponents_no_removals():
@@ -256,6 +273,12 @@ def test_is_semisimple():
     assert is_semisimple(2, 2, 3)
     assert is_semisimple(0, 5, 0)
     assert not is_semisimple(1, 1, 0)
+
+
+@pytest.mark.parametrize("delta", [0.5, 2.0, "1/2"], ids=repr)
+def test_is_semisimple_refuses_a_non_rational_delta(delta):
+    with pytest.raises(TypeError):
+        is_semisimple(2, 2, delta)
 
 
 def test_bratteli_22():
