@@ -98,6 +98,11 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_shape(other)
+        # elements are immutable, so a zero operand can return the other one
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = self.terms.copy()
         for d, c in other.terms.items():
             prev = out.get(d)
@@ -125,7 +130,9 @@ class AlgebraElement:
             return self
         if c is ZERO:
             return AlgebraElement.zero(self.shape)
-        scaled = {a: a * c for a in set(self.terms.values())}
+        # in the order of first appearance, not of a set's addresses, so
+        # that the scalar table is swept at the same point in every run
+        scaled = {a: a * c for a in dict.fromkeys(self.terms.values())}
         return _element(self.shape, {d: scaled[a] for d, a in self.terms.items()})
 
     def __mul__(self, other):

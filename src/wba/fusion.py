@@ -138,8 +138,9 @@ def _fold(e, factors, c, depth: int, multiply_left=False) -> list:
     f0 = 1 + coeff*g/t and f1 = 1/t, or f0 = coeff*g and f1 = 1.  Each factor
     maps E_j to E_j*f0 + f1*E_{j-1}, one product with a single diagram.  That
     product is taken by the bare generator g and then scaled by coeff*f1,
-    which depends on the point c: sums that carried it would intern
-    point-dependent scalars in a table that is never emptied.
+    which depends on the point c: sums that carried it would intern a
+    point-dependent scalar per term, each kept in the intern table until
+    its next sweep.
     """
     series = [e] + [AlgebraElement.zero(e.shape)] * depth
     for root, gen, coeff in reversed(factors) if multiply_left else factors:

@@ -7,11 +7,12 @@ kept in one canonical form: gcd(num, den) = 1 in Q[d], the gcd of all
 coefficients of num and den together is 1, and den has a positive leading
 coefficient.  This is also the form the text output prints.  Canonical
 scalars are interned, so equal values are the same object: a scalar hashes
-and compares by identity, at C speed.  The intern table is never emptied,
-which is what keeps identity and value equality one relation.  A scalar
-equals only itself, never an int or Fraction: numbers enter Q(d) through
-from_int, from_fraction, affine, parse_scalar or arithmetic with a scalar,
-and each of these refuses a float.
+and compares by identity, at C speed.  The intern table keeps a scalar
+only while something else holds it (see _sweep), so two live equal scalars
+are still one object and identity and value equality stay one relation.  A
+scalar equals only itself, never an int or Fraction: numbers enter Q(d)
+through from_int, from_fraction, affine, parse_scalar or arithmetic with a
+scalar, and each of these refuses a float.
 Keeping the parameter formal realizes the generic regime exactly; no
 numeric d is ever chosen and no floating point appears anywhere.
 
@@ -51,6 +52,7 @@ an element repeats few distinct coefficients over many terms.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -189,10 +191,16 @@ def pstr(a: Poly) -> str:
     return "".join(parts)
 
 
-# every canonical scalar ever made; never emptied, because scalars hash and
-# compare by identity, so a second object for a value would be a second,
-# unequal key (perfbench/make_expected.py's cold() empties only the memos)
+# every live canonical scalar.  Scalars hash and compare by identity, so a
+# second object for a value would be a second, unequal key: a scalar leaves
+# the table only when a sweep finds nothing else referencing it, and so no
+# later lookup can miss a living one
 _INTERN: dict = {}
+# _coprime sweeps _INTERN once it holds more than this many scalars and more
+# than twice the _survivors of the previous sweep, so sweeps cost O(1) per
+# stored scalar
+_SWEEP_FLOOR = 1024
+_survivors = 0
 _ADD: dict = {}
 _MUL: dict = {}
 _NEG: dict = {}
@@ -234,7 +242,7 @@ class DeltaScalar:
     object, with the text it keeps.
     """
 
-    __slots__ = ("num", "den", "_text")
+    __slots__ = ("num", "den", "_text", "__weakref__")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use DeltaScalar.make / from_int / poly constructors")
@@ -421,7 +429,31 @@ def _coprime(num: Poly, den: Poly) -> DeltaScalar:
         _setattr(obj, "den", den)
         _setattr(obj, "_text", None)
         _INTERN[key] = obj
+        n = len(_INTERN)
+        if n > _SWEEP_FLOOR and n > 2 * _survivors:
+            _sweep()
     return obj
+
+
+# The memos hold their keys and values strongly, so a sweep empties them
+# first; a weak reference then outlives its scalar only while something still
+# holds it, and the scalar _coprime is about to return is held by its local.
+# A scalar that anything can reach is never dropped, so two live equal scalars
+# are still one object; a dropped one is unreachable, so no comparison can
+# meet it.  Peak memory then follows what a process holds, not every value it
+# has computed.
+def _sweep():
+    """Drop from _INTERN every scalar nothing else references."""
+    global _survivors
+    for memo in (_ADD, _MUL, _NEG, _INV):
+        memo.clear()
+    refs = [weakref.ref(x) for x in _INTERN.values()]
+    _INTERN.clear()
+    for ref in refs:
+        x = ref()
+        if x is not None:
+            _INTERN[x.num, x.den] = x
+    _survivors = len(_INTERN)
 
 
 def _product(a: Poly, b: Poly, c: Poly, e: Poly) -> DeltaScalar:

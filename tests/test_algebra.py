@@ -245,6 +245,16 @@ def test_shape_mismatch_raises():
         one(S11) * one(S22)
 
 
+def test_adding_zero_returns_the_other_operand():
+    e, zero = jm_element(S22, 3), AlgebraElement.zero(S22)
+    assert (e + zero) is e and (zero + e) is e and (zero + zero) is zero
+    # the shapes are compared before either operand is returned
+    for a, b in ((e, AlgebraElement.zero(S11)), (AlgebraElement.zero(S11), e),
+                 (zero, AlgebraElement.zero(S11))):
+        with pytest.raises(ShapeMismatch):
+            a + b
+
+
 def test_embed_keeps_products():
     # the wall stays put: only the right side may grow
     target = Shape(1, 2)
@@ -523,7 +533,8 @@ def test_scale_multiplies_each_distinct_coefficient_once(monkeypatch):
 
     monkeypatch.setattr(DeltaScalar, "__mul__", counted)
     assert e.scale(C).terms == want
-    assert sorted(map(id, scaled)) == sorted(map(id, set(e.terms.values())))
+    # in the order the coefficients first appear, which no address moves
+    assert scaled == list(dict.fromkeys(e.terms.values()))
     assert len(scaled) < len(e.terms)
 
 

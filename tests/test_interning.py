@@ -1,7 +1,8 @@
 """Scalars, diagrams, shapes, partitions and bipartitions are interned:
 equal values are one object, so these classes hash and compare by identity.
 These tests pin that invariant, the identity hash itself, copies and pickles
-that come back interned, and values that refuse mutation."""
+that come back interned, values that refuse mutation, and the sweep that
+drops the scalars nothing else holds."""
 
 import copy
 import itertools
@@ -18,16 +19,18 @@ import pytest
 import wba.diagrams as diagrams
 import wba.scalars as scalars
 import wba.tableaux as tableaux
+import wba.verify as verify
 from wba.algebra import AlgebraElement, jm_element
 from wba.diagrams import Shape, WalledDiagram, all_diagrams, identity, make_diagram, s_pair
 from wba.errors import IndexOutOfRange
-from wba.fusion import fusion_idempotent
+from wba.fusion import DEFAULT_H, fusion_idempotent
 from wba.scalars import DELTA, ONE, ZERO, DeltaScalar, affine, parse_scalar, pmul, pscale
 from wba.tableaux import (
     Bipartition,
     Partition,
     WalledTableau,
     bratteli,
+    enumerate_tableaux,
     parse_tableau,
 )
 from tableau_oracles import triple_tableau
@@ -55,18 +58,88 @@ def _routes(a: Fraction, b: Fraction, x: DeltaScalar):
         yield DeltaScalar.from_int(int(a))
 
 
-@pytest.mark.parametrize("limit", [None, 2], ids=["default-limit", "memos-clear"])
-def test_equal_scalars_are_one_object(monkeypatch, limit):
+def _sweep_often(monkeypatch):
+    """A sweep of the scalar table at every doubling over 8 entries, for the
+    test; the floor and the survivor count come back after it."""
+    monkeypatch.setattr(scalars, "_SWEEP_FLOOR", 8)
+    monkeypatch.setattr(scalars, "_survivors", 0)
+
+
+@pytest.mark.parametrize(
+    "limit, sweeps", [(None, False), (2, False), (None, True)],
+    ids=["default-limit", "memos-clear", "table-sweeps"],
+)
+def test_equal_scalars_are_one_object(monkeypatch, limit, sweeps):
     if limit is not None:
         monkeypatch.setattr(scalars, "_CACHE_LIMIT", limit)
         for memo in ("_ADD", "_MUL", "_NEG", "_INV"):
             monkeypatch.setattr(scalars, memo, {})
+    if sweeps:
+        _sweep_often(monkeypatch)
     for a, b in itertools.product(FRACTIONS, repeat=2):
         x = affine(a, b)
+        if sweeps:
+            scalars._sweep()
         for route, y in enumerate(_routes(a, b, x)):
             assert y is x, (a, b, route)
     if limit is not None:
         assert len(scalars._MUL) <= limit + 1 and len(scalars._ADD) <= limit + 1
+
+
+def test_held_scalars_survive_a_sweep(monkeypatch):
+    _sweep_often(monkeypatch)
+    pickled = pickle.loads(pickle.dumps((DELTA**2 - 7919) / (3 * DELTA + 7907)))
+    held = [ZERO, ONE, DELTA, DEFAULT_H, pickled]
+    held += [(DELTA + k) / (DELTA - 7901 - k) for k in range(40)]
+    texts = [str(x) for x in held]
+    scalars._sweep()
+    for x, text in zip(held, texts, strict=True):
+        assert scalars._INTERN[x.num, x.den] is x
+        assert DeltaScalar.make(x.num, x.den) is x and str(x) == text
+    assert DeltaScalar.make(()) is ZERO and DeltaScalar.from_int(1) is ONE
+    assert parse_scalar("d") is DELTA and affine(Fraction(1, 2), 3) is DEFAULT_H
+    assert (DELTA**2 - 7919) / (3 * DELTA + 7907) is pickled
+    assert pickle.loads(pickle.dumps(pickled)) is pickled
+
+
+def test_a_sweep_drops_unreferenced_scalars_and_empties_the_memos(monkeypatch):
+    _sweep_often(monkeypatch)
+    keys = []
+    for k in range(40):
+        x = (DELTA**2 + 7877 + k) / (DELTA - 7873)
+        keys.append((x.num, x.den))
+        keys.append(((-x).num, (-x).den))
+        assert x * x / x is x
+    del x
+    scalars._sweep()
+    assert not [key for key in keys if key in scalars._INTERN]
+    assert not (scalars._ADD or scalars._MUL or scalars._NEG or scalars._INV)
+    assert scalars._survivors == len(scalars._INTERN)
+
+
+def test_mirror_products_leave_a_small_table(fresh_paths):
+    # in a fresh process, a table that is never swept ends with 3 889
+    # scalars, and one swept at the default floor with 335.  The bound counts
+    # from the scalars earlier tests left alive, which the forced sweep keeps
+    scalars._sweep()
+    alive = len(scalars._INTERN)
+    verify.check_mirror_products(Shape(4, 1), 0)
+    assert len(scalars._INTERN) - alive < 2048
+
+
+@pytest.mark.slow
+def test_fusing_every_seven_site_tableau_leaves_a_small_table(fresh_paths):
+    # the 232 tableaux, about 9 s; in a fresh process, a table that is never
+    # swept ends with 66 024 scalars and a 67 MiB peak, a swept one with
+    # 6 865 and 34 MiB
+    import resource
+
+    scalars._sweep()
+    for t in enumerate_tableaux(Shape(3, 4)):
+        fusion_idempotent(t)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"(3,4): {len(scalars._INTERN)} scalars interned, ru_maxrss {peak} (KiB on Linux)")
+    assert len(scalars._INTERN) < 20_000
 
 
 def test_equal_diagrams_are_one_object():
