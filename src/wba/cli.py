@@ -167,6 +167,11 @@ def cmd_verify(args) -> int:
 
     checked = args.suite in ("all", "system")
     shape = _bounded_shape(args, _MAX_CHECKED_SITES if checked else _MAX_CERTIFIED_SITES)
+    if args.suite == "lemmas" and shape.r + 1 > _MAX_CERTIFIED_SITES:
+        raise TooLarge(
+            f"the wall-crossing lemma runs on ({shape.r}, 1), "
+            f"more than {_MAX_CERTIFIED_SITES} sites"
+        )
     delta = None if args.delta_rational is None else _rational(args.delta_rational)
     report = full_report(shape, seed=args.seed, suite=args.suite)
     obj = report.to_json()

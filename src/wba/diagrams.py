@@ -149,11 +149,10 @@ _REGISTRY: dict = {}
 
 
 def _shape_entry(shape: Shape) -> _ShapeSpace:
-    key = (shape.r, shape.s)
-    entry = _REGISTRY.get(key)
+    entry = _REGISTRY.get(shape)
     if entry is None:
         entry = _ShapeSpace(shape.n)
-        _REGISTRY[key] = entry
+        _REGISTRY[shape] = entry
     return entry
 
 

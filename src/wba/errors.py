@@ -25,10 +25,6 @@ class NonzeroRemainder(WbaError):
     """Exact polynomial division left a nonzero remainder."""
 
 
-class ParityViolation(WbaError):
-    """Baxterized factor requested for a pair of sites with the wrong parity."""
-
-
 class CancellationFailure(WbaError):
     """A pole that should cancel during consecutive evaluation did not."""
 

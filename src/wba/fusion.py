@@ -14,8 +14,10 @@ happens on legal paths, and the negative-control tests rely on it happening
 when a required prefactor is withheld.
 
 The second procedure depends on a free parameter h; its factor blocks use the
-modified elements 1 + g/(arg - h) and 1 + g/(arg + h - d) and a different
-prefactor, and admits a mirrored variant obtained by reversing every block.
+modified elements 1 + s/(arg - h) and 1 + d/(arg + h - d), which are the
+same two factors at the reflected arguments h - arg and d - h - arg
+(_primed), and a different prefactor, and admits a mirrored variant
+obtained by reversing every block.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ from typing import NamedTuple
 
 from .algebra import AlgebraElement
 from .diagrams import Shape, d_pair, epsilon, identity, s_pair
-from .errors import (
-    CancellationFailure,
-    DivisionByZero,
-    IndexOutOfRange,
-    NonGenericH,
-    ParityViolation,
-)
+from .errors import CancellationFailure, DivisionByZero, IndexOutOfRange, NonGenericH
 from .scalars import DELTA, ONE, ZERO, DeltaScalar, affine, scalar_str
 from .tableaux import WalledTableau, exponents
 
@@ -43,41 +39,31 @@ _HALF_DELTA = affine(0, Fraction(1, 2))
 
 
 def _pair_generator(shape: Shape, kind: str, i: int, j: int):
-    par = (epsilon(shape, i) + epsilon(shape, j)) % 2
-    if kind in ("s", "s'"):
-        if par != 0:
-            raise ParityViolation(f"s-factor needs same-side sites, got ({i},{j})")
+    if kind == "s":
         return s_pair(shape, min(i, j), max(i, j))
-    if par != 1:
-        raise ParityViolation(f"d-factor needs opposite-side sites, got ({i},{j})")
-    return d_pair(shape, min(i, j), max(i, j))
+    if kind == "d":
+        return d_pair(shape, min(i, j), max(i, j))
+    raise IndexOutOfRange(f"unknown factor kind {kind!r}")
 
 
-def _factor_kind(shape: Shape, kind: str, i: int, j: int, h):
-    """The generator, argument shift and sign of a factor kind: the factor at
-    argument arg is 1 + sign * g/(arg + shift)."""
-    if kind in ("s", "d"):
-        shift, sign = ZERO, -ONE
-    elif kind == "s'":
-        shift, sign = -h, ONE
-    elif kind == "d'":
-        shift, sign = h - DELTA, ONE
-    else:
-        raise IndexOutOfRange(f"unknown factor kind {kind!r}")
-    return _pair_generator(shape, kind, i, j), shift, sign
+# Factor orderings.  A spec is a list of (kind, i, a_i, b) tuples, kind "s" or
+# "d"; the factor on the sites (i, k) is 1 - g/(a_i + b*u), with u the
+# variable of step k.
 
+def _primed(kind: str, i: int, a, b: int, h) -> tuple:
+    """The second procedure's modified factor at a + b*u as a spec entry:
+    s'(x) = 1 + s/(x - h) = s(h - x) and d'(x) = 1 + d/(x + h - d) = d(d - h - x)."""
+    return kind, i, (h if kind == "s" else DELTA - h) - a, -b
 
-# Factor orderings.  A spec is a list of (kind, i, a_i, b) tuples; the factor
-# on the sites (i, k) sits at argument a_i + b*u, with u the variable of step k.
 
 def _d_block(shape: Shape, a) -> list:
     """d_{r,k}(a_r + u) ... d_{1,k}(a_1 + u)."""
     return [("d", i, a[i - 1], 1) for i in range(shape.r, 0, -1)]
 
 
-def _d_prime_block(shape: Shape, a) -> list:
+def _d_prime_block(shape: Shape, a, h) -> list:
     """d'_{1,k}(a_1 - u) ... d'_{r,k}(a_r - u)."""
-    return [("d'", i, a[i - 1], -1) for i in range(1, shape.r + 1)]
+    return [_primed("d", i, a[i - 1], -1, h) for i in range(1, shape.r + 1)]
 
 
 def _step_factors(shape: Shape, a, k: int) -> list:
@@ -113,19 +99,16 @@ def step_prefactor(shape: Shape, contents, k: int, h=None) -> tuple:
     return zeros, poles
 
 
-def _linear_factors(shape: Shape, factors, k: int, h=None) -> list:
+def _linear_factors(shape: Shape, factors, k: int) -> list:
     """The factors of a spec on the sites (i, k) as (root, gen, coeff).
 
-    The factor at a + b*u is 1 + sign*g/(a + shift + b*u); as b = +-1 it is
-    ((u - root) + coeff*g)/(u - root) with root = -b*(a + shift) and
-    coeff = b*sign.
+    As b = +-1 the factor 1 - g/(a + b*u) is ((u - root) + coeff*g)/(u - root)
+    with root = -b*a and coeff = -b.
     """
-    out = []
-    for kind, i, a, b in factors:
-        gen, shift, sign = _factor_kind(shape, kind, i, k, h)
-        root = -(a + shift) if b == 1 else a + shift
-        out.append((root, gen, sign if b == 1 else -sign))
-    return out
+    return [
+        (-a if b == 1 else a, _pair_generator(shape, kind, i, k), -ONE if b == 1 else ONE)
+        for kind, i, a, b in factors
+    ]
 
 
 def _fold(e, factors, c, depth: int, multiply_left=False) -> list:
@@ -181,7 +164,7 @@ def _times(series, scalars) -> list:
     return out
 
 
-def _evaluate_step_info(e_prev, factors, k: int, z, c, h=None, multiply_left=False):
+def _evaluate_step_info(e_prev, factors, k: int, z, c, multiply_left=False):
     """z * e_prev * (the factors of the spec on the sites (i, k)) at u = c,
     after cancelling the (u - c)^m pole; returns (value, m).  z is a scalar
     prefactor as its roots (zeros, poles).  With multiply_left the factors
@@ -198,7 +181,7 @@ def _evaluate_step_info(e_prev, factors, k: int, z, c, h=None, multiply_left=Fal
     """
     shape = e_prev.shape
     zeros, poles = z
-    linear = _linear_factors(shape, factors, k, h)
+    linear = _linear_factors(shape, factors, k)
     m = poles.count(c) + [root for root, _, _ in linear].count(c)
     depth = m - zeros.count(c)
     if depth < 0:
@@ -348,22 +331,22 @@ def h_is_generic(shape: Shape, contents, h: DeltaScalar) -> bool:
     factor, nor the prefactor's pole h - c_k, lies at the content c_k."""
     for k in range(shape.r + 1, len(contents) + 1):
         ck = contents[k - 1]
-        linear = _linear_factors(shape, _primed_block(shape, contents, k), k, h)
+        linear = _linear_factors(shape, _primed_block(shape, contents, k, h), k)
         if ck in [root for root, _, _ in linear] + [h - ck]:
             return False
     return True
 
 
-def _primed_block(shape: Shape, contents, k: int) -> list:
+def _primed_block(shape: Shape, contents, k: int, h) -> list:
     """s'_{k-1,k}(c_{k-1} + u) ... s'_{r+1,k}(c_{r+1} + u), then the d' block."""
-    s_prime = [("s'", i, contents[i - 1], 1) for i in range(k - 1, shape.r, -1)]
-    return s_prime + _d_prime_block(shape, contents)
+    s_prime = [_primed("s", i, contents[i - 1], 1, h) for i in range(k - 1, shape.r, -1)]
+    return s_prime + _d_prime_block(shape, contents, h)
 
 
-def _second_block_factors(shape: Shape, contents, k: int, mirror: bool) -> list:
+def _second_block_factors(shape: Shape, contents, k: int, h, mirror: bool) -> list:
     """The primed block, then the step-k product; reversed for the mirror
     variant."""
-    factors = _primed_block(shape, contents, k) + _step_factors(shape, contents, k)
+    factors = _primed_block(shape, contents, k, h) + _step_factors(shape, contents, k)
     if mirror:
         factors.reverse()
     return factors
@@ -377,9 +360,9 @@ def second_fusion_idempotent(t: WalledTableau, h=DEFAULT_H, mirror=False) -> Alg
     r, n = shape.r, shape.n
     e = fuse_contents(shape, contents, r)
     for k in range(r + 1, n + 1):
-        factors = _second_block_factors(shape, contents, k, mirror)
+        factors = _second_block_factors(shape, contents, k, h, mirror)
         z = step_prefactor(shape, contents, k, h)
-        e = _evaluate_step_info(e, factors, k, z, contents[k - 1], h, mirror)[0]
+        e = _evaluate_step_info(e, factors, k, z, contents[k - 1], mirror)[0]
     return e
 
 
@@ -447,13 +430,13 @@ def second_product_numeric(shape: Shape, t: WalledTableau, h, us, mirror=False) 
     contents = t.contents()
     after = range(r + 1, n + 1)
     a_block = [(j, _d_block(shape, contents)) for j in after]
-    a_prime = [(j, _d_prime_block(shape, contents)) for j in after]
-    s_prime = [(j, [("s'", i, us[i], 1)]) for i in after for j in range(i + 1, n + 1)]
+    a_prime = [(j, _d_prime_block(shape, contents, h)) for j in after]
+    s_prime = [(j, [_primed("s", i, us[i], 1, h)]) for i in after for j in range(i + 1, n + 1)]
     s_block = [(j, [("s", i, us[i], -1)]) for i in after for j in range(i + 1, n + 1)]
     order = a_block + s_prime + a_prime if mirror else a_prime + s_prime + a_block
     e = fuse_contents(shape, contents, r)
     for k, factors in order + s_block:
-        e = _evaluate(e, _linear_factors(shape, factors, k, h), us[k])
+        e = _evaluate(e, _linear_factors(shape, factors, k), us[k])
     return e
 
 

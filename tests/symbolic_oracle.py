@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from wba.algebra import AlgebraElement
-from wba.diagrams import Shape
+from wba.diagrams import Shape, d_pair, s_pair
 from wba.errors import IndexOutOfRange, NonzeroRemainder
-from wba.fusion import _factor_kind, _step_factors
-from wba.scalars import ONE, ZERO, DeltaScalar
+from wba.fusion import _step_factors
+from wba.scalars import DELTA, ONE, ZERO, DeltaScalar
 from wba.upoly import UniPoly
 
 
@@ -52,7 +52,15 @@ def baxter_factor(shape: Shape, kind: str, i: int, j: int, a, b: int = 1, h=None
     if b not in (1, -1):
         raise IndexOutOfRange(f"affine argument slope must be +1 or -1, got {b}")
     a = a if isinstance(a, DeltaScalar) else DeltaScalar.from_fraction(a)
-    gen, shift, sign = _factor_kind(shape, kind, i, j, h)
+    if kind in ("s", "d"):
+        shift, sign = ZERO, -ONE
+    elif kind == "s'":
+        shift, sign = -h, ONE
+    elif kind == "d'":
+        shift, sign = h - DELTA, ONE
+    else:
+        raise IndexOutOfRange(f"unknown factor kind {kind!r}")
+    gen = (s_pair if kind[0] == "s" else d_pair)(shape, min(i, j), max(i, j))
     one = AlgebraElement.one(shape)
     bs = ONE if b == 1 else -ONE
     den0 = a + shift

@@ -331,14 +331,31 @@ def test_huge_number_is_refused_promptly(argv):
          "--check"],
         ["verify", "3", "4"],
         ["verify", "2", "5", "--suite", "system"],
+        ["verify", "7", "0", "--suite", "lemmas"],
     ],
-    ids=["idempotent-check", "verify-all", "verify-system"],
+    ids=["idempotent-check", "verify-all", "verify-system", "verify-lemmas-eight-sites"],
 )
 def test_certification_above_six_sites_is_refused_promptly(argv):
-    # e*e of a 5040-term 7-site idempotent alone takes minutes
+    # e*e of a 5040-term 7-site idempotent alone takes minutes, and the
+    # wall-crossing lemma of (7, 0) runs on the 40 320 diagrams of (7, 1)
     proc = run_process(*argv, timeout=5)
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "TooLarge"
+
+
+@pytest.mark.parametrize("r,s", [(0, 7), (6, 1)])
+def test_lemmas_on_seven_sites_are_accepted(capsys, monkeypatch, r, s):
+    # their wall-crossing lemma runs on (r, 1), at most seven sites
+    import wba.verify
+    from wba.verify import CertReport
+
+    def stub(shape, seed=0, suite="all"):
+        return CertReport(shape.r, shape.s)
+
+    monkeypatch.setattr(wba.verify, "full_report", stub)
+    code, out = run(capsys, "verify", str(r), str(s), "--suite", "lemmas")
+    assert code == 0
+    assert (json.loads(out)["r"], json.loads(out)["s"]) == (r, s)
 
 
 def test_closed_stdout_ends_quietly():

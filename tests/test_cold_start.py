@@ -34,7 +34,7 @@ import wba.cli, wba.diagrams
 code = wba.cli.main(sys.argv[1:])
 sys.stdout.flush()
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-tables = sorted(key for key, space in wba.diagrams._REGISTRY.items() if space.table is not None)
+tables = sorted((k.r, k.s) for k, space in wba.diagrams._REGISTRY.items() if space.table is not None)
 sys.stderr.write(json.dumps({"modules": sorted(sys.modules), "threads": threads, "tables": tables}))
 sys.exit(code)
 """

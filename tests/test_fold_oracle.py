@@ -27,12 +27,12 @@ from symbolic_oracle import (
 )
 
 
-def oracle_step(e_prev, factors, k, z, c, h=None, multiply_left=False):
+def oracle_step(e_prev, factors, k, z, c, multiply_left=False):
     """The step by full expansion; same signature and result as the engine's."""
     shape = e_prev.shape
     psi = AlgebraRat.one(shape)
     for kind, i, a, b in factors:
-        psi = psi * baxter_factor(shape, kind, i, k, a, b, h)
+        psi = psi * baxter_factor(shape, kind, i, k, a, b)
     if multiply_left:
         coeffs = [coef * e_prev for coef in psi.num.coeffs]
     else:

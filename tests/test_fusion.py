@@ -2,15 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import wba.fusion as fusion
 from wba.algebra import AlgebraElement, iota, jm_element
 from wba.diagrams import Shape
-from wba.errors import (
-    CancellationFailure,
-    DivisionByZero,
-    IndexOutOfRange,
-    NonGenericH,
-    ParityViolation,
-)
+from wba.errors import CancellationFailure, DivisionByZero, IndexOutOfRange, NonGenericH
 from wba.fusion import (
     DEFAULT_H,
     _evaluate,
@@ -82,9 +77,9 @@ def test_baxter_factor_contraction():
 
 
 def test_baxter_factor_parity_guard():
-    with pytest.raises(ParityViolation):
+    with pytest.raises(IndexOutOfRange):
         baxter_factor(S22, "s", 1, 3, ZERO, 1)
-    with pytest.raises(ParityViolation):
+    with pytest.raises(IndexOutOfRange):
         baxter_factor(S22, "d", 1, 2, ZERO, 1)
 
 
@@ -129,22 +124,55 @@ def _value_at(rat, u):
     return rat.num.eval_at(u).scale(rat.den.eval_at(u).inverse())
 
 
-@pytest.mark.parametrize(
-    "shape,pairs",
-    [
-        (S22, [("s", 1, 2), ("s", 3, 4), ("d", 1, 3), ("d", 2, 4)]),
-        (Shape(2, 3), [("s", 3, 5), ("s", 4, 5), ("d", 1, 5), ("d", 2, 3)]),
-    ],
-)
+FACTOR_SITES = [
+    (S22, [("s", 1, 2), ("s", 3, 4), ("d", 1, 3), ("d", 2, 4)]),
+    (Shape(2, 3), [("s", 3, 5), ("s", 4, 5), ("d", 1, 5), ("d", 2, 3)]),
+]
+FACTOR_POINT = affine(Fraction(2, 3), 1), affine(Fraction(5, 7))
+
+
+def _engine_factor(shape, kind, primed, i, j, a, b, u0):
+    """The engine's factor of the spec (kind, i, a, b), or of its primed
+    form through fusion._primed, on the sites (i, j) at u = u0."""
+    spec = fusion._primed(kind, i, a, b, DEFAULT_H) if primed else (kind, i, a, b)
+    return _evaluate(one(shape), _linear_factors(shape, [spec], j), u0)
+
+
+@pytest.mark.parametrize("shape,pairs", FACTOR_SITES)
 def test_numeric_factor_is_symbolic_factor_at_a_point(shape, pairs):
-    a, u0 = affine(Fraction(2, 3), 1), affine(Fraction(5, 7))
+    a, u0 = FACTOR_POINT
     for kind, i, j in pairs:
-        for k in (kind, kind + "'"):
+        for primed in (False, True):
             for b in (1, -1):
-                symbolic = baxter_factor(shape, k, i, j, a, b, DEFAULT_H)
-                arg = a + u0 if b == 1 else a - u0
-                numeric = _evaluate(one(shape), _linear_factors(shape, [(k, i, arg, 1)], j, DEFAULT_H))
-                assert numeric == _value_at(symbolic, u0), (k, i, j, b)
+                symbolic = baxter_factor(shape, kind + "'" * primed, i, j, a, b, DEFAULT_H)
+                numeric = _engine_factor(shape, kind, primed, i, j, a, b, u0)
+                assert numeric == _value_at(symbolic, u0), (kind, primed, i, j, b)
+
+
+def test_oracle_catches_an_unreflected_primed_crossing(monkeypatch, fresh_paths):
+    # s'(x) as s(x - h), the sign of its generator flipped: the oracle
+    # writes s' itself, so it must disagree with the engine, and the second
+    # procedure must stop matching the first
+    primed = fusion._primed
+
+    def unreflected(kind, i, a, b, h):
+        return (kind, i, a - h, b) if kind == "s" else primed(kind, i, a, b, h)
+
+    monkeypatch.setattr(fusion, "_primed", unreflected)
+    a, u0 = FACTOR_POINT
+    for shape, pairs in FACTOR_SITES:
+        for kind, i, j in pairs:
+            if kind == "s":
+                for b in (1, -1):
+                    symbolic = baxter_factor(shape, "s'", i, j, a, b, DEFAULT_H)
+                    numeric = _engine_factor(shape, kind, True, i, j, a, b, u0)
+                    assert numeric != _value_at(symbolic, u0), (i, j, b)
+    t = parse_tableau(GOLDEN_SPEC, S22)
+    try:
+        second = second_fusion_idempotent(t)
+    except CancellationFailure:
+        second = None
+    assert second != fusion_idempotent(t)
 
 
 @pytest.mark.parametrize("shape", [S22, Shape(2, 3)])
@@ -462,15 +490,16 @@ def test_identity_battery_instances(shape):
 def test_identity_battery_fails_on_a_flipped_contraction(monkeypatch, fresh_paths, shape):
     # d-factors become 1 + g/arg: every identity with a contraction in it
     # fails, except the commutation of factors on disjoint sites
-    import wba.fusion as fusion
+    linear_factors = fusion._linear_factors
 
-    factor_kind = fusion._factor_kind
+    def flipped(shape, factors, k):
+        linear = linear_factors(shape, factors, k)
+        return [
+            (root, gen, -coeff if spec[0] == "d" else coeff)
+            for (root, gen, coeff), spec in zip(linear, factors)
+        ]
 
-    def flipped(shape, kind, i, j, h):
-        gen, shift, sign = factor_kind(shape, kind, i, j, h)
-        return gen, shift, -sign if kind == "d" else sign
-
-    monkeypatch.setattr(fusion, "_factor_kind", flipped)
+    monkeypatch.setattr(fusion, "_linear_factors", flipped)
     report = identity_checks(shape, seed=3, points=2)
     passed = {name for name, v in report.items() if name != "all_pass" and v["pass"]}
     assert passed == {"yang_baxter_crossings", "crossing_unitarity", "distinct_sites_commute"}

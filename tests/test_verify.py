@@ -191,10 +191,10 @@ def test_lemmas_fail_on_a_mutated_factor(monkeypatch, fresh_paths, shape, mutati
     # shifted or its slope flipped; the idempotents they start from do not
     linear_factors = verify._linear_factors
 
-    def mutated(shape, factors, k, h=None):
+    def mutated(shape, factors, k):
         kind, i, a, b = factors[0]
         changed = (kind, i, *MUTATIONS[mutation](a, b))
-        return linear_factors(shape, [changed, *factors[1:]], k, h)
+        return linear_factors(shape, [changed, *factors[1:]], k)
 
     monkeypatch.setattr(verify, "_linear_factors", mutated)
     assert not check_wall_crossing(Shape(shape.r, 1))["pass"]
@@ -212,6 +212,14 @@ def test_proof_lemmas_bundle():
     assert all(v["pass"] for v in out.values())
 
 
+@pytest.mark.slow
+def test_proof_lemmas_on_a_six_site_shape():
+    # (3,3): the mirror lemma folds s' and d' factors over 720 diagrams,
+    # with three s' pairs where (4,2) has one
+    out = check_proof_lemmas(Shape(3, 3), seed=0)
+    assert all(v["pass"] for v in out.values()), out
+
+
 def test_check_exponents_with_negative_controls():
     out = check_exponents(S22)
     assert out["pass"]
@@ -225,8 +233,8 @@ def test_full_report_fuses_each_tableau_once(monkeypatch, fresh_paths):
     # minimal runs' reference fusions are served from the path memo
     import wba.fusion as fusion
 
-    def signature(shape, factors, k, z, c, h=None, multiply_left=False):
-        return shape, k, tuple(factors), tuple(map(tuple, z)), c, h, multiply_left
+    def signature(shape, factors, k, z, c, multiply_left=False):
+        return shape, k, tuple(factors), tuple(map(tuple, z)), c, multiply_left
 
     calls = []
     evaluate = fusion._evaluate_step_info
