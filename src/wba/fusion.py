@@ -13,10 +13,13 @@ that fails to cancel raises CancellationFailure; the theory says this never
 happens on legal paths, and the negative-control tests rely on it happening
 when a required prefactor is withheld.
 
-The second procedure depends on a free parameter h; its factor blocks use the
-modified elements 1 + s/(arg - h) and 1 + d/(arg + h - d), which are the
-same two factors at the reflected arguments h - arg and d - h - arg
-(_primed), and a different prefactor, and admits a mirrored variant
+The second procedure depends on a free parameter h and has a different
+prefactor.  Each of its blocks of modified factors 1 + s/(arg - h) and
+1 + d/(arg + h - d), the same two factors at the reflected arguments h - arg
+and d - h - arg (_primed), is an unmodified product read backwards with each
+factor modified at the negated variable (_modified): the block of step k is
+that of the step-k product, and the numeric product's A' and S' are its A
+and S with each block so modified.  The procedure admits a mirrored variant
 obtained by reversing every block.
 """
 
@@ -51,19 +54,22 @@ def _pair_generator(shape: Shape, kind: str, i: int, j: int):
 # variable of step k.
 
 def _primed(kind: str, i: int, a, b: int, h) -> tuple:
-    """The second procedure's modified factor at a + b*u as a spec entry:
-    s'(x) = 1 + s/(x - h) = s(h - x) and d'(x) = 1 + d/(x + h - d) = d(d - h - x)."""
+    """The modified factor s' or d' at x = a + b*u as the spec entry of the
+    unmodified one: s'(x) = 1 + s/(x - h) = s(h - x) and
+    d'(x) = 1 + d/(x + h - d) = d(d - h - x)."""
     return kind, i, (h if kind == "s" else DELTA - h) - a, -b
+
+
+def _modified(factors, h) -> list:
+    """The block of modified factors that goes with a product: its factors
+    read backwards, the factor at a + b*u becoming the modified one at
+    a - b*u."""
+    return [_primed(kind, i, a, -b, h) for kind, i, a, b in reversed(factors)]
 
 
 def _d_block(shape: Shape, a) -> list:
     """d_{r,k}(a_r + u) ... d_{1,k}(a_1 + u)."""
     return [("d", i, a[i - 1], 1) for i in range(shape.r, 0, -1)]
-
-
-def _d_prime_block(shape: Shape, a, h) -> list:
-    """d'_{1,k}(a_1 - u) ... d'_{r,k}(a_r - u)."""
-    return [_primed("d", i, a[i - 1], -1, h) for i in range(1, shape.r + 1)]
 
 
 def _step_factors(shape: Shape, a, k: int) -> list:
@@ -331,25 +337,10 @@ def h_is_generic(shape: Shape, contents, h: DeltaScalar) -> bool:
     factor, nor the prefactor's pole h - c_k, lies at the content c_k."""
     for k in range(shape.r + 1, len(contents) + 1):
         ck = contents[k - 1]
-        linear = _linear_factors(shape, _primed_block(shape, contents, k, h), k)
+        linear = _linear_factors(shape, _modified(_step_factors(shape, contents, k), h), k)
         if ck in [root for root, _, _ in linear] + [h - ck]:
             return False
     return True
-
-
-def _primed_block(shape: Shape, contents, k: int, h) -> list:
-    """s'_{k-1,k}(c_{k-1} + u) ... s'_{r+1,k}(c_{r+1} + u), then the d' block."""
-    s_prime = [_primed("s", i, contents[i - 1], 1, h) for i in range(k - 1, shape.r, -1)]
-    return s_prime + _d_prime_block(shape, contents, h)
-
-
-def _second_block_factors(shape: Shape, contents, k: int, h, mirror: bool) -> list:
-    """The primed block, then the step-k product; reversed for the mirror
-    variant."""
-    factors = _primed_block(shape, contents, k, h) + _step_factors(shape, contents, k)
-    if mirror:
-        factors.reverse()
-    return factors
 
 
 def second_fusion_idempotent(t: WalledTableau, h=DEFAULT_H, mirror=False) -> AlgebraElement:
@@ -360,7 +351,10 @@ def second_fusion_idempotent(t: WalledTableau, h=DEFAULT_H, mirror=False) -> Alg
     r, n = shape.r, shape.n
     e = fuse_contents(shape, contents, r)
     for k in range(r + 1, n + 1):
-        factors = _second_block_factors(shape, contents, k, h, mirror)
+        step = _step_factors(shape, contents, k)
+        factors = _modified(step, h) + step
+        if mirror:
+            factors.reverse()
         z = step_prefactor(shape, contents, k, h)
         e = _evaluate_step_info(e, factors, k, z, contents[k - 1], mirror)[0]
     return e
@@ -369,6 +363,8 @@ def second_fusion_idempotent(t: WalledTableau, h=DEFAULT_H, mirror=False) -> Alg
 def idempotent_by(t: WalledTableau, method="first", variant="fwd", h=DEFAULT_H) -> AlgebraElement:
     """The idempotent of t by method "first", "second" (variant "fwd" or
     "mirror", parameter h) or "interp"."""
+    if variant not in ("fwd", "mirror"):
+        raise IndexOutOfRange(f"unknown variant {variant!r}")
     if method == "first":
         return fusion_idempotent(t)
     if method == "second":
@@ -422,17 +418,17 @@ def second_product_numeric(shape: Shape, t: WalledTableau, h, us, mirror=False) 
     us maps site k (r < k <= n) to the numeric value of its variable; the
     before-wall variables are already at the contents through the
     symmetric-group idempotent.  The product is e * A' * S' * A * S, or
-    e * A * S' * A' * S mirrored, with A and A' the d and d' blocks of every
-    after-wall step and S' and S the lexicographic s' and s products; e is
-    folded through it one two-term factor at a time.
+    e * A * S' * A' * S mirrored, with A the d blocks of every after-wall
+    step, S the lexicographic s product, and A' and S' the same with each
+    block replaced by its modified block; e is folded through it one
+    two-term factor at a time.
     """
     r, n = shape.r, shape.n
     contents = t.contents()
     after = range(r + 1, n + 1)
     a_block = [(j, _d_block(shape, contents)) for j in after]
-    a_prime = [(j, _d_prime_block(shape, contents, h)) for j in after]
-    s_prime = [(j, [_primed("s", i, us[i], 1, h)]) for i in after for j in range(i + 1, n + 1)]
     s_block = [(j, [("s", i, us[i], -1)]) for i in after for j in range(i + 1, n + 1)]
+    a_prime, s_prime = ([(j, _modified(f, h)) for j, f in b] for b in (a_block, s_block))
     order = a_block + s_prime + a_prime if mirror else a_prime + s_prime + a_block
     e = fuse_contents(shape, contents, r)
     for k, factors in order + s_block:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .algebra import AlgebraElement, iota, jm_element
 from .diagrams import Shape, composition_table
-from .errors import CancellationFailure, ZeroDenominator
+from .errors import CancellationFailure, IndexOutOfRange, ZeroDenominator
 from .fusion import (
     DEFAULT_H,
     _distinct_points,
@@ -405,6 +405,8 @@ def check_exponents(shape: Shape) -> dict:
 
 def full_report(shape: Shape, seed: int = 0, suite: str = "all") -> CertReport:
     """Assemble the report the CLI emits; suite selects which sections run."""
+    if suite not in ("all", "system", "lemmas", "yang-baxter", "exponents"):
+        raise IndexOutOfRange(f"unknown suite {suite!r}")
     if suite in ("all", "system"):
         report = check_system(shape)
     else:

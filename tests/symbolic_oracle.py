@@ -79,6 +79,17 @@ def step_function(shape: Shape, contents, k: int) -> AlgebraRat:
     return acc
 
 
+def modified_block(shape: Shape, contents, k: int, h) -> list:
+    """The factors of the second procedure's modified block at step k > r,
+    in the order the paper writes them:
+    s'_{k-1,k}(c_{k-1} + u) ... s'_{r+1,k}(c_{r+1} + u)
+    * d'_{1,k}(c_1 - u) ... d'_{r,k}(c_r - u)."""
+    r = shape.r
+    s_primes = [baxter_factor(shape, "s'", i, k, contents[i - 1], 1, h) for i in range(k - 1, r, -1)]
+    d_primes = [baxter_factor(shape, "d'", i, k, contents[i - 1], -1, h) for i in range(1, r + 1)]
+    return s_primes + d_primes
+
+
 def _root_poly(roots) -> UniPoly:
     """prod (u - a) over the roots a, as a scalar polynomial."""
     p = UniPoly([ONE], ZERO)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from wba.scalars import DELTA, ONE, ZERO, affine
 from wba.tableaux import enumerate_tableaux, exponents, parse_tableau
 from wba.upoly import UniPoly
 from algebra_helpers import d_gen, s_gen
-from symbolic_oracle import _root_poly, baxter_factor, step_function
+from symbolic_oracle import _root_poly, baxter_factor, modified_block, step_function
 
 S11 = Shape(1, 1)
 S22 = Shape(2, 2)
@@ -173,6 +174,68 @@ def test_oracle_catches_an_unreflected_primed_crossing(monkeypatch, fresh_paths)
     except CancellationFailure:
         second = None
     assert second != fusion_idempotent(t)
+
+
+def _modified_block_mismatches(shape) -> tuple:
+    """The number of after-wall steps checked, and those (path, k) at which
+    the factors that the second procedure multiplies by differ, at a random
+    point, from the paper's modified block followed by the step-k product.
+    Each step is recorded, not taken, so no path is fused; paths that share
+    the contents up to step k share its check."""
+    rng = random.Random(shape.n)
+    recorded, seen = [], set()
+
+    def record(e_prev, factors, k, z, c, multiply_left=False):
+        recorded.append((k, factors))
+        return e_prev, 0
+
+    mismatches = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "_PATHS", fusion._PathMemo())
+        mp.setattr(fusion, "_evaluate_step_info", record)
+        for t in enumerate_tableaux(shape):
+            recorded.clear()
+            second_fusion_idempotent(t)
+            contents = t.contents()
+            for k, factors in recorded:
+                if k <= shape.r or contents[:k] in seen:
+                    continue
+                seen.add(contents[:k])
+                (u0,) = fusion._distinct_points(rng, 1)
+                want = one(shape)
+                for factor in modified_block(shape, contents, k, DEFAULT_H):
+                    want = want * _value_at(factor, u0)
+                for kind, i, a, b in _step_factors(shape, contents, k):
+                    want = want * _value_at(baxter_factor(shape, kind, i, k, a, b), u0)
+                if _evaluate(one(shape), _linear_factors(shape, factors, k), u0) != want:
+                    mismatches.append((t.moves_str(), k))
+    return len(seen), mismatches
+
+
+BLOCK_SHAPES = [Shape(r, n - r) for n in range(1, 6) for r in range(n)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=lambda s: f"{s.r},{s.s}")
+def test_second_procedure_multiplies_by_the_papers_modified_block(shape):
+    steps, mismatches = _modified_block_mismatches(shape)
+    assert steps and mismatches == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", [Shape(r, 6 - r) for r in range(6)], ids=lambda s: f"{s.r},{s.s}")
+def test_second_procedure_multiplies_by_the_papers_modified_block_on_six_sites(shape):
+    steps, mismatches = _modified_block_mismatches(shape)
+    assert steps and mismatches == []
+
+
+def test_modified_block_oracle_catches_an_unreversed_block(monkeypatch):
+    # the modified factors in the step product's own order, not read backwards
+    def unreversed(factors, h):
+        return [fusion._primed(kind, i, a, -b, h) for kind, i, a, b in factors]
+
+    monkeypatch.setattr(fusion, "_modified", unreversed)
+    assert _modified_block_mismatches(S22)[1]
+    assert _modified_block_mismatches(Shape(2, 3))[1]
 
 
 @pytest.mark.parametrize("shape", [S22, Shape(2, 3)])
@@ -530,3 +593,7 @@ def test_idempotent_by_takes_the_method_directly():
     assert idempotent_by(t, method="interp") == expected
     with pytest.raises(IndexOutOfRange):
         idempotent_by(t, "third")
+    # a misspelt variant is refused, not taken for "fwd"
+    for variant in ("mirrr", "Mirror", "forward"):
+        with pytest.raises(IndexOutOfRange):
+            idempotent_by(t, "second", variant)

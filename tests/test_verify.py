@@ -6,6 +6,7 @@ import pytest
 import wba.verify as verify
 from wba.algebra import AlgebraElement, sorted_terms
 from wba.diagrams import Shape, _ComposeMemo, _shape_entry
+from wba.errors import IndexOutOfRange
 from wba.fusion import _step_factors, fuse_contents, fusion_idempotent, step_prefactor
 from wba.scalars import DELTA, ONE, affine
 from wba.tableaux import enumerate_tableaux, parse_tableau
@@ -276,6 +277,13 @@ def test_full_report_sections():
     js = report.to_json()
     assert js["ok"]
     assert "timings" in js
+
+
+@pytest.mark.parametrize("suite", ["lemma", "yang_baxter", "ALL", ""])
+def test_an_unknown_suite_is_refused(suite):
+    # a misspelt suite would run no section and report ok
+    with pytest.raises(IndexOutOfRange):
+        full_report(S22, seed=0, suite=suite)
 
 
 SYSTEM_FIELDS = (
