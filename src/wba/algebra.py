@@ -302,6 +302,8 @@ def element_from_json(obj) -> AlgebraElement:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
     try:
         shape = Shape(_json_int(obj["r"]), _json_int(obj["s"]))
+        if type(obj["terms"]) is not list:
+            raise ParseError("terms is not a JSON array")
         terms = {}
         # each distinct coefficient text is parsed once (an element has few
         # over many terms)

@@ -17,10 +17,6 @@ class DivisionByZero(WbaError, ZeroDivisionError):
     """Division by the zero scalar."""
 
 
-class ZeroDenominator(WbaError):
-    """An interpolation denominator vanished (two candidate contents coincide)."""
-
-
 class NonzeroRemainder(WbaError):
     """Exact polynomial division left a nonzero remainder."""
 

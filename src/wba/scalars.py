@@ -576,9 +576,10 @@ class _Tokens:
         return ch
 
 
-# a parsed power may reach at most this degree in d and coefficients of at
-# most this many bits, so that nested powers such as (d^100)^100 or
-# (9^100)^100 stay bounded too
+# a parsed value, a power or what + - * / build, may reach at most this
+# degree in d and coefficients of at most this many bits, so that nested
+# powers such as (d^100)^100 or (9^100)^100 and long products of bounded
+# powers stay bounded too
 _MAX_POWER_DEGREE = 256
 _MAX_POWER_BITS = 1 << 16
 # an integer literal has at most this many digits, well below the limit of
@@ -602,35 +603,40 @@ def parse_scalar(text: str) -> DeltaScalar:
     return value
 
 
+def _bounded(value, pos, exp=1):
+    """value, or ParseError at pos if value^exp is over a size bound; a
+    constant counts as degree 1, so no exponent is over the degree bound."""
+    degree = max(len(value.num), len(value.den), 2) - 1
+    bits = max(abs(c).bit_length() for c in value.num + value.den)
+    if exp * degree > _MAX_POWER_DEGREE or exp * bits > _MAX_POWER_BITS:
+        raise ParseError(
+            f"value too large: degree over {_MAX_POWER_DEGREE} or a coefficient over"
+            f" {_MAX_POWER_BITS} bits",
+            pos,
+        )
+    return value
+
+
 def _parse_sum(toks):
     value = _parse_product(toks)
-    while True:
-        ch = toks.peek()
-        if ch == "+":
-            toks.take()
-            value = value + _parse_product(toks)
-        elif ch == "-":
-            toks.take()
-            value = value - _parse_product(toks)
-        else:
-            return value
+    while (op := toks.peek()) in ("+", "-"):
+        pos = toks.pos
+        toks.take()
+        term = _parse_product(toks)
+        value = _bounded(value + term if op == "+" else value - term, pos)
+    return value
 
 
 def _parse_product(toks):
     value = _parse_factor(toks)
-    while True:
-        ch = toks.peek()
-        if ch == "*":
-            toks.take()
-            value = value * _parse_factor(toks)
-        elif ch == "/":
-            toks.take()
-            divisor = _parse_factor(toks)
-            if divisor.is_zero:
-                raise ParseError("division by zero", toks.pos)
-            value = value / divisor
-        else:
-            return value
+    while (op := toks.peek()) in ("*", "/"):
+        pos = toks.pos
+        toks.take()
+        factor = _parse_factor(toks)
+        if op == "/" and factor.is_zero:
+            raise ParseError("division by zero", toks.pos)
+        value = _bounded(value * factor if op == "*" else value / factor, pos)
+    return value
 
 
 def _parse_factor(toks):
@@ -643,17 +649,7 @@ def _parse_factor(toks):
         toks.take()
         pos = toks.pos
         exp = _parse_int(toks)
-        degree = max(len(value.num), len(value.den), 2) - 1
-        if exp * degree > _MAX_POWER_DEGREE:
-            raise ParseError(
-                f"power too large: exponent times degree over {_MAX_POWER_DEGREE}", pos
-            )
-        bits = max(abs(c).bit_length() for c in value.num + value.den)
-        if exp * bits > _MAX_POWER_BITS:
-            raise ParseError(
-                f"power too large: exponent times coefficient bits over {_MAX_POWER_BITS}", pos
-            )
-        value = value**exp
+        value = _bounded(value, pos, exp) ** exp
     return value if sign > 0 else -value
 
 

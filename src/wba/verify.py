@@ -14,6 +14,7 @@ poles.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from itertools import permutations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from .algebra import AlgebraElement, iota, jm_element
 from .diagrams import Shape, composition_table
-from .errors import CancellationFailure, IndexOutOfRange, ZeroDenominator
+from .errors import CancellationFailure, IndexOutOfRange
 from .fusion import (
     DEFAULT_H,
     _distinct_points,
@@ -49,7 +50,10 @@ def interp_idempotent(t: WalledTableau) -> AlgebraElement:
     """Build the idempotent by Jucys-Murphy interpolation, level by level.
 
     At each step the factor product runs over the contents of the legal moves
-    from the current bipartition, skipping the move actually taken.
+    from the current bipartition, skipping the move actually taken.  Those
+    contents are pairwise distinct (addable cells lie on distinct diagonals,
+    as do removable ones, and an R+ content has d-coefficient 1 where an L-
+    content has 0), so no c - a below is zero.
     """
     shape = t.shape
     contents = t.contents()
@@ -63,10 +67,7 @@ def interp_idempotent(t: WalledTableau) -> AlgebraElement:
         x = jm_element(shape, k)
         one = AlgebraElement.one(shape)
         for a in candidates:
-            denom = c - a
-            if denom.is_zero:
-                raise ZeroDenominator(f"coincident candidate contents at step {k}")
-            e = e * (x - one.scale(a)).scale(denom.inverse())
+            e = e * (x - one.scale(a)).scale((c - a).inverse())
     return e
 
 
@@ -165,6 +166,27 @@ class CertReport:
         }
 
 
+def _timed(run) -> tuple:
+    """(run(), the seconds it took): the one clock of the reports."""
+    t0 = time.perf_counter()
+    result = run()
+    return result, time.perf_counter() - t0
+
+
+def _verdict(instances):
+    """Make a lemma suite from a generator function that yields one verdict
+    per instance: {"pass": all of them, "instances": their number}.  The
+    generator keeps each instance's locals alive into the next, as a loop
+    does, so the scalars alive at each intern sweep are a loop's."""
+
+    @functools.wraps(instances)
+    def suite(*args, **kwargs) -> dict:
+        holds = list(instances(*args, **kwargs))
+        return {"pass": all(holds), "instances": len(holds)}
+
+    return suite
+
+
 def certify_tableau(
     t: WalledTableau,
     e: AlgebraElement,
@@ -198,25 +220,20 @@ def certify_tableau(
 def check_system(shape: Shape, cross_check: bool = True) -> CertReport:
     """Certify the complete idempotent system of a shape."""
     report = CertReport(shape.r, shape.s)
-    t0 = time.perf_counter()
+    timings = report.timings
     tableaux = enumerate_tableaux(shape)
-    elements = [fusion_idempotent(t) for t in tableaux]
-    report.timings["fusion"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    report.tableaux = [certify_tableau(t, e, cross_check) for t, e in zip(tableaux, elements)]
-    report.timings["per_tableau"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    elements, timings["fusion"] = _timed(lambda: [fusion_idempotent(t) for t in tableaux])
+    report.tableaux, timings["per_tableau"] = _timed(
+        lambda: [certify_tableau(t, e, cross_check) for t, e in zip(tableaux, elements)]
+    )
     pairs = list(permutations(range(len(elements)), 2))
-    report.orthogonality_failures = [
+    report.orthogonality_failures, timings["orthogonality"] = _timed(lambda: [
         (tableaux[i].moves_str(), tableaux[j].moves_str())
         for i, j in pairs
         if not (elements[i] * elements[j]).is_zero
-    ]
+    ])
     report.orthogonality_pairs = len(pairs)
     report.orthogonal = not report.orthogonality_failures
-    report.timings["orthogonality"] = time.perf_counter() - t0
 
     total = AlgebraElement.zero(shape)
     for e in elements:
@@ -230,22 +247,19 @@ def check_system(shape: Shape, cross_check: bool = True) -> CertReport:
     return report
 
 
-def check_factorization_identity(shape: Shape, seed: int = 0, points: int = 3) -> dict:
+@_verdict
+def check_factorization_identity(shape: Shape, seed: int = 0, points: int = 3):
     """The step-peeling identity: the full product equals (product on the first
     n-1 sites) times the last step product, at fully numeric points."""
     rng = random.Random(seed)
     n = shape.n
     if not n:
-        return {"pass": True, "instances": 0}
-    checked = 0
-    ok = True
+        return
     for _ in range(points):
         us = _distinct_points(rng, n)
         lhs = psi_full_numeric(shape, us)
         rhs = psi_full_numeric(shape, us, m=n - 1) * psi_step_numeric(shape, us, n)
-        ok = ok and lhs == rhs
-        checked += 1
-    return {"pass": ok, "instances": checked}
+        yield lhs == rhs
 
 
 def _fold_about_zero(e, factors) -> tuple:
@@ -257,7 +271,8 @@ def _fold_about_zero(e, factors) -> tuple:
     return _fold(e, factors, ZERO, len(factors)), k
 
 
-def check_wall_crossing(shape: Shape) -> dict:
+@_verdict
+def check_wall_crossing(shape: Shape):
     """The wall-crossing identity, for every symmetric-group stage
     idempotent E of the shape:
 
@@ -272,13 +287,11 @@ def check_wall_crossing(shape: Shape) -> dict:
     a over the c_i and d.  Both sides are the full coefficient lists of
     polynomials of degree at most r + 1 in eps, so equal lists are the
     cleared identity, and it divided by the nonzero w * prod (w - c_i) / K.
+    A shape with no site right of the wall has no x_{r+1}: jm_element
+    refuses it with IndexOutOfRange.
     """
     r = shape.r
-    if shape.s < 1:
-        raise ZeroDenominator("wall crossing needs a site right of the wall")
     x = jm_element(shape, r + 1)
-    checked = 0
-    ok = True
     for prefix in enumerate_tableaux(Shape(r, 0)):
         contents = prefix.contents()
         e = fuse_contents(shape, contents, r)
@@ -288,12 +301,11 @@ def check_wall_crossing(shape: Shape) -> dict:
         xe = x * e
         with_d = _taylor([*contents, DELTA], ZERO, r + 1)
         rhs = [e.scale(p) + xe.scale(q) for p, q in zip(with_d, _taylor(contents, ZERO, r + 1))]
-        ok = ok and [AlgebraElement.zero(shape)] + folded == rhs
-        checked += 1
-    return {"pass": ok, "instances": checked}
+        yield [AlgebraElement.zero(shape)] + folded == rhs
 
 
-def check_jm_resolvent(shape: Shape) -> dict:
+@_verdict
+def check_jm_resolvent(shape: Shape):
     """The step identity that produces the JM resolvent, for every
     idempotent E of a path to the first n - 1 sites:
 
@@ -314,11 +326,9 @@ def check_jm_resolvent(shape: Shape) -> dict:
     """
     r, n = shape.r, shape.n
     if not n:
-        return {"pass": True, "instances": 0}
+        return
     zero_elem = AlgebraElement.zero(shape)
     x = jm_element(shape, n)
-    checked = 0
-    ok = True
     first_sites = Shape(r, shape.s - 1) if shape.s else Shape(r - 1, 0)
     for prefix in enumerate_tableaux(first_sites):
         contents = prefix.contents()
@@ -332,18 +342,15 @@ def check_jm_resolvent(shape: Shape) -> dict:
         with_x = [(folded[j - 1] if j else zero_elem) - folded[j] * x for j in range(degree + 1)]
         lhs = _times(with_x, _taylor(zeros[1:], ZERO, degree))
         e = e.scale(k.inverse())
-        ok = ok and lhs == [e.scale(p) for p in _taylor(roots + poles, ZERO, degree)]
-        checked += 1
-    return {"pass": ok, "instances": checked}
+        yield lhs == [e.scale(p) for p in _taylor(roots + poles, ZERO, degree)]
 
 
-def check_mirror_products(shape: Shape, seed: int = 0) -> dict:
+@_verdict
+def check_mirror_products(shape: Shape, seed: int = 0):
     """flip(forward second-procedure product) equals the mirrored product at
     random rational points, with h = DEFAULT_H."""
     rng = random.Random(seed)
     r, n = shape.r, shape.n
-    checked = 0
-    ok = True
     for t in enumerate_tableaux(shape):
         if not h_is_generic(shape, t.contents(), DEFAULT_H):
             continue
@@ -351,9 +358,7 @@ def check_mirror_products(shape: Shape, seed: int = 0) -> dict:
         us = {k: points[k - r - 1] for k in range(r + 1, n + 1)}
         fwd = second_product_numeric(shape, t, DEFAULT_H, us, mirror=False)
         mir = second_product_numeric(shape, t, DEFAULT_H, us, mirror=True)
-        ok = ok and iota(fwd) == mir
-        checked += 1
-    return {"pass": ok, "instances": checked}
+        yield iota(fwd) == mir
 
 
 def check_proof_lemmas(shape: Shape, seed: int = 0) -> dict:
@@ -366,9 +371,8 @@ def check_proof_lemmas(shape: Shape, seed: int = 0) -> dict:
         ("mirror_products", lambda: check_mirror_products(shape, seed)),
     ]
     for name, run in suites:
-        t0 = time.perf_counter()
-        out[name] = run()
-        out[name]["seconds"] = round(time.perf_counter() - t0, 3)
+        out[name], seconds = _timed(run)
+        out[name]["seconds"] = round(seconds, 3)
     return out
 
 
@@ -411,16 +415,11 @@ def full_report(shape: Shape, seed: int = 0, suite: str = "all") -> CertReport:
         report = check_system(shape)
     else:
         report = CertReport(shape.r, shape.s)
+    timings = report.timings
     if suite in ("all", "lemmas"):
-        t0 = time.perf_counter()
-        report.lemmas = check_proof_lemmas(shape, seed)
-        report.timings["lemmas"] = time.perf_counter() - t0
+        report.lemmas, timings["lemmas"] = _timed(lambda: check_proof_lemmas(shape, seed))
     if suite in ("all", "yang-baxter"):
-        t0 = time.perf_counter()
-        report.identities = identity_checks(shape, seed)
-        report.timings["identities"] = time.perf_counter() - t0
+        report.identities, timings["identities"] = _timed(lambda: identity_checks(shape, seed))
     if suite in ("all", "exponents"):
-        t0 = time.perf_counter()
-        report.exponent_runs = check_exponents(shape)
-        report.timings["exponents"] = time.perf_counter() - t0
+        report.exponent_runs, timings["exponents"] = _timed(lambda: check_exponents(shape))
     return report

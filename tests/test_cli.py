@@ -249,6 +249,14 @@ def test_usage_error_exit_code(capsys):
         pytest.param(["mul", "{tmp}/x.json"], None, "ParseError", id="mul-one-file"),
         pytest.param(["mul"], '{"a": 1}', "ParseError", id="mul-stdin-not-a-pair"),
         pytest.param(
+            ["mul", "-"], json.dumps([{"r": 1, "s": 1, "terms": {}}, EMPTY_11]), "ParseError",
+            id="mul-terms-an-object",
+        ),
+        pytest.param(
+            ["mul", "-"], json.dumps([{"r": 1, "s": 1, "terms": ""}, EMPTY_11]), "ParseError",
+            id="mul-terms-a-string",
+        ),
+        pytest.param(
             ["mul"],
             json.dumps([{"r": 1, "s": 1, "terms": [{"diagram": [1, 2], "coeff": "1"}] * 2},
                         EMPTY_11]),
@@ -315,8 +323,11 @@ def test_huge_power_in_h_is_refused_promptly():
         ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--delta-rational", "1e100000000"],
         ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
          "--h", "((" + "9" * 1000 + ")^256)^256"],
+        # each factor is within the bounds, their product is not
+        ["idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
+         "--h", "*".join(["(d+1)^256"] * 32)],
     ],
-    ids=["verify-delta-exponent", "idempotent-delta-exponent", "h-power"],
+    ids=["verify-delta-exponent", "idempotent-delta-exponent", "h-power", "h-product"],
 )
 def test_huge_number_is_refused_promptly(argv):
     proc = run_process(*argv)

@@ -7,9 +7,16 @@ import wba.verify as verify
 from wba.algebra import AlgebraElement, sorted_terms
 from wba.diagrams import Shape, _ComposeMemo, _shape_entry
 from wba.errors import IndexOutOfRange
-from wba.fusion import _step_factors, fuse_contents, fusion_idempotent, step_prefactor
+from wba.fusion import (
+    DEFAULT_H,
+    _step_factors,
+    fuse_contents,
+    fusion_idempotent,
+    h_is_generic,
+    step_prefactor,
+)
 from wba.scalars import DELTA, ONE, affine
-from wba.tableaux import enumerate_tableaux, parse_tableau
+from wba.tableaux import _legal_moves, bratteli, enumerate_tableaux, parse_tableau
 from wba.verify import (
     check_exponents,
     check_factorization_identity,
@@ -27,6 +34,17 @@ S11 = Shape(1, 1)
 S22 = Shape(2, 2)
 
 GOLDEN_SPEC = "L+1,1;L+2,1;L-2,1;L-1,1"
+
+
+def test_legal_moves_have_distinct_contents():
+    # so that no interpolation denominator c - a is zero
+    for n in range(1, 11):
+        for r in range(n + 1):
+            levels = bratteli(Shape(r, n - r)).levels
+            for t in range(1, n + 1):
+                for state in levels[t - 1]:
+                    contents = [m.content() for m in _legal_moves(state, t, r)]
+                    assert len(set(contents)) == len(contents), (r, n - r, t, state)
 
 
 def test_interp_contraction_leaf():
@@ -154,18 +172,43 @@ def test_factorization_identity_random(shape):
     assert check_factorization_identity(shape, seed=2, points=2)["pass"]
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+# every shape of one to five sites
+SHAPES = [Shape(r, n - r) for n in range(1, 6) for r in range(n + 1)]
+
+
+def shapes_after(first):
+    """first, then the other shapes of SHAPES: the ids shape0, shape1, ...
+    name the same shapes as when first was the whole list."""
+    return first + [shape for shape in SHAPES if shape not in first]
+
+
+def paths_to(shape, k):
+    """The number of distinct paths the shape's tableaux take over their
+    first k sites (every path to k sites extends to a tableau)."""
+    return len({t.contents()[:k] for t in enumerate_tableaux(shape)})
+
+
+@pytest.mark.parametrize("r", range(5))
 def test_wall_crossing_lemma(r):
-    result = check_wall_crossing(Shape(r, 1))
-    assert result["pass"]
-    assert result["instances"] == {1: 1, 2: 2, 3: 4}[r]
+    # one instance per path to the r sites left of the wall
+    for s in range(1, 6 - r):
+        result = check_wall_crossing(Shape(r, s))
+        assert result["pass"]
+        assert result["instances"] == paths_to(Shape(r, s), r)
 
 
-@pytest.mark.parametrize("shape", [S11, Shape(2, 1), Shape(1, 2), S22])
+@pytest.mark.parametrize("r", range(6))
+def test_wall_crossing_needs_a_site_right_of_the_wall(r):
+    with pytest.raises(IndexOutOfRange):
+        check_wall_crossing(Shape(r, 0))
+
+
+@pytest.mark.parametrize("shape", shapes_after([S11, Shape(2, 1), Shape(1, 2), S22]))
 def test_jm_resolvent_lemma(shape):
+    # one instance per path to the first n - 1 sites
     result = check_jm_resolvent(shape)
     assert result["pass"]
-    assert result["instances"] == {(1, 1): 1, (2, 1): 2, (1, 2): 2, (2, 2): 4}[shape.r, shape.s]
+    assert result["instances"] == paths_to(shape, shape.n - 1)
 
 
 @pytest.mark.parametrize("r", range(6))
@@ -202,9 +245,14 @@ def test_lemmas_fail_on_a_mutated_factor(monkeypatch, fresh_paths, shape, mutati
     assert not check_jm_resolvent(shape)["pass"]
 
 
-@pytest.mark.parametrize("shape", [S11, Shape(1, 2), S22])
+@pytest.mark.parametrize("shape", shapes_after([S11, Shape(1, 2), S22]))
 def test_mirror_products(shape):
-    assert check_mirror_products(shape, seed=4)["pass"]
+    # one instance per tableau whose contents DEFAULT_H is generic for
+    result = check_mirror_products(shape, seed=4)
+    assert result["pass"]
+    tableaux = enumerate_tableaux(shape)
+    generic = [t for t in tableaux if h_is_generic(shape, t.contents(), DEFAULT_H)]
+    assert result["instances"] == len(generic)
 
 
 def test_proof_lemmas_bundle():
