@@ -27,7 +27,7 @@ from .errors import (
     TooLarge,
     WbaError,
 )
-from .scalars import parse_scalar
+from .scalars import _MAX_GCD_WORK, parse_scalar, product_work
 
 # Each subcommand imports the layers it uses when it runs, so a process pays
 # only for those: `tableaux` never loads the algebra, `jm` and `mul` never
@@ -222,6 +222,15 @@ def cmd_mul(args) -> int:
     if pairs > _MAX_MUL_TERM_PAIRS:
         raise TooLarge(
             f"a product of {pairs} term pairs, more than {_MAX_MUL_TERM_PAIRS}"
+        )
+    # the term pairs do not bound the Q(d) work: two one-term elements with
+    # coefficients of degree 256 take seconds, so the gcd work of a product
+    # has the parser's bound on one operation (the products of idempotents of
+    # up to six sites stay below 5 000)
+    work = product_work(set(a.terms.values()), set(b.terms.values()))
+    if work > _MAX_GCD_WORK:
+        raise TooLarge(
+            f"a product whose coefficients take gcds of work {work}, more than {_MAX_GCD_WORK}"
         )
     _emit(element_to_json(a * b))
     return 0

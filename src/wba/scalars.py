@@ -21,6 +21,22 @@ cofactors from exact division in Z[d], so no rational coefficient arises
 (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  Rational input
 is cleared to integers once, by the constructors.
 
+Every content, evaluation point and h is affine in d, so almost every kernel
+call has an operand of degree 0 or 1, and three kernel functions take a route
+for those degrees, chosen from the operands' lengths; each returns what the
+general route returns, which the tests keep as its reference:
+  - pmul scales by a constant operand, and returns the other operand
+    unchanged when the constant is 1; the convolution runs only for two
+    nonconstant operands;
+  - pgcd takes the primitive part b0 + b1*d of a linear shorter operand and
+    returns it if the homogeneous Horner sum  sum a_i (-b0)^i b1^(n-i),  the
+    resultant up to sign, is 0, else 1; no pseudo-remainder is taken, and no
+    content of the longer operand, so the remainder sequence runs only when
+    both operands are above degree 1;
+  - pexquo divides by a linear divisor synthetically, from the quotient's top
+    coefficient down, with one exact divmod per coefficient (Knuth, *TAOCP*
+    vol. 2, §4.6.1).
+
 Every scalar is interned by one step, _coprime, which takes a numerator and
 denominator already coprime in Q[d] and normalizes only the joint integer
 content and the sign of the denominator.  DeltaScalar.make reaches it by a
@@ -43,6 +59,12 @@ the one sum rule: binary + interns its result, and
 scalar_linear_combination folds it over many terms and interns only the
 total.
 
+The parser bounds the size of every value it builds and the gcd work of
+every + - * / before it runs: the work of one gcd is the product of the two
+degrees and the larger coefficient size in bits.  A power takes no gcd, since
+it raises the coprime num and den apart.  product_work estimates the same
+work for a product of two algebra elements from their coefficients.
+
 Binary operations are memoized in bounded caches keyed by the interned
 operands.  The multiplication loops of the diagram algebra hit these caches
 constantly, which is what makes exact certification of the larger shapes
@@ -52,6 +74,7 @@ an element repeats few distinct coefficients over many terms.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from fractions import Fraction
 from math import gcd, lcm
@@ -82,6 +105,18 @@ def pneg(a: Poly) -> Poly:
 
 
 def pmul(a: Poly, b: Poly) -> Poly:
+    # a constant operand scales the other, and 1 returns it unchanged
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        k = a[0]
+        return b if k == 1 else tuple([k * c for c in b])
+    return _convolve(a, b)
+
+
+def _convolve(a: Poly, b: Poly) -> Poly:
+    """a*b by the schoolbook convolution, the route of pmul for two
+    nonconstant operands."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -132,12 +167,27 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     coefficient: a gcd in Q[d], and (1,) when a and b are coprime there.
 
     A primitive remainder sequence: the content of every pseudo-remainder is
-    removed, so coefficients stay as small as the gcd allows.
+    removed, so coefficients stay as small as the gcd allows.  A linear
+    shorter operand takes no sequence: its primitive part b0 + b1*d divides a
+    exactly when the homogeneous value sum a_i (-b0)^i b1^(n-i) is 0.
     """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return _primitive(a) if a else ()
+    if len(b) == 2:
+        b = _primitive(b)
+        x, w = -b[0], b[1]
+        s, p = 0, 1
+        for c in reversed(a):
+            s, p = s * x + c * p, p * w
+        return (1,) if s else b
+    return _prs(a, b)
+
+
+def _prs(a: Poly, b: Poly) -> Poly:
+    """pgcd of nonzero a and b, len(a) >= len(b), by the primitive remainder
+    sequence, the route of pgcd above degree 1."""
     a, b = _primitive(a), _primitive(b)
     while len(b) > 1:
         r = _prem(a, b)
@@ -152,6 +202,26 @@ def pexquo(a: Poly, b: Poly) -> Poly:
     there, so an inexact division is never truncated."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
+    if len(b) == 2:
+        # synthetic division, the quotient from its top coefficient down
+        b0, b1 = b
+        q, carry = [], 0
+        for c in a[:0:-1]:
+            f, r = divmod(c - carry, b1)
+            if r:
+                break
+            q.append(f)
+            carry = f * b0
+        else:
+            if not a or a[0] == carry:
+                return tuple(q[::-1])
+        raise NonzeroRemainder(f"{pstr(b)} does not divide {pstr(a)} in Z[d]")
+    return _long_division(a, b)
+
+
+def _long_division(a: Poly, b: Poly) -> Poly:
+    """pexquo for a nonzero b by long division, the route of pexquo for a
+    divisor not of degree 1."""
     rem = list(a)
     lb, nb = b[-1], len(b)
     q = [0] * max(len(a) - nb + 1, 0)
@@ -582,6 +652,12 @@ class _Tokens:
 # powers stay bounded too
 _MAX_POWER_DEGREE = 256
 _MAX_POWER_BITS = 1 << 16
+# one + - * / may take gcds of at most this work in all.  The work of a gcd
+# is the product of its two degrees and its larger coefficient size in bits:
+# a remainder sequence on dense random operands takes about 3 s at a work of
+# 2^20 and grows as its 1.75th power (CPython 3.11, one Xeon core), so a gcd
+# at this bound takes about 0.25 s whatever its degrees
+_MAX_GCD_WORK = 1 << 18
 # an integer literal has at most this many digits, well below the limit of
 # Python's int() on decimal strings
 _MAX_INT_DIGITS = 1000
@@ -617,13 +693,80 @@ def _bounded(value, pos, exp=1):
     return value
 
 
+def _size(p: Poly) -> tuple:
+    """(degree, largest coefficient size in bits) of a nonzero polynomial."""
+    return len(p) - 1, max(abs(c).bit_length() for c in p)
+
+
+def _gcd_work(pairs) -> int:
+    """The work of the gcds of these (size, size) pairs; a side of degree 0
+    takes none."""
+    return sum(m * n * max(bm, bn) for (m, bm), (n, bn) in pairs if m and n)
+
+
+def _collected_size(values):
+    """(size, work): the size of one scalar that collects these nonzero
+    values, their largest numerator over the lcm of their denominators, and
+    the work of the gcds the lcm took.  The size is None once that work is
+    over _MAX_GCD_WORK."""
+    lcm_, work = (1,), 0
+    for den in sorted({x.den for x in values}):
+        if len(lcm_) > 1 and len(den) > 1:
+            work += _gcd_work([(_size(lcm_), _size(den))])
+            if work > _MAX_GCD_WORK:
+                return None, work
+            den = pexquo(den, pgcd(lcm_, den))
+        lcm_ = pmul(lcm_, den)
+    nums = [_size(x.num) for x in values] or [(0, 0)]
+    degree = max(m for m, _ in nums) + len(lcm_) - 1
+    return (degree, max(max(b for _, b in nums), _size(lcm_)[1])), work
+
+
+def product_work(xs, ys) -> int:
+    """An estimate of the gcd work of multiplying two elements whose
+    distinct coefficients, all nonzero, are xs and ys: the work of one gcd
+    between the two scalars that collect each side.  Once collecting a side is over
+    _MAX_GCD_WORK, that work instead, so no estimate costs much more."""
+    sizes = []
+    for values in (xs, ys):
+        size, work = _collected_size(values)
+        if size is None:
+            return work
+        sizes.append(size)
+    return _gcd_work([sizes])
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _operation(op, x, y, pos):
+    """x op y, refused with ParseError at pos before any arithmetic if the
+    gcds the kernel takes for it are over _MAX_GCD_WORK in all."""
+    if op == "/" and y.is_zero:
+        raise ParseError("division by zero", pos)
+    if x.num and y.num:
+        a, b, c, e = map(_size, (x.num, x.den, y.num, y.den))
+        if op == "*":
+            pairs = [(a, e), (c, b)]
+        elif op == "/":
+            pairs = [(a, c), (e, b)]
+        else:
+            # gcd(b, e) = g, then gcd(t, g) for t = a*e/g + c*b/g
+            t = (max(a[0] + e[0], c[0] + b[0]), max(a[1] + e[1], c[1] + b[1]) + 1)
+            pairs = [(b, e), (t, min(b, e))]
+        if _gcd_work(pairs) > _MAX_GCD_WORK:
+            raise ParseError(
+                f"operation too large: its gcds are over a work of {_MAX_GCD_WORK}", pos
+            )
+    return _bounded(_OPERATORS[op](x, y), pos)
+
+
 def _parse_sum(toks):
     value = _parse_product(toks)
     while (op := toks.peek()) in ("+", "-"):
         pos = toks.pos
         toks.take()
-        term = _parse_product(toks)
-        value = _bounded(value + term if op == "+" else value - term, pos)
+        value = _operation(op, value, _parse_product(toks), pos)
     return value
 
 
@@ -632,11 +775,20 @@ def _parse_product(toks):
     while (op := toks.peek()) in ("*", "/"):
         pos = toks.pos
         toks.take()
-        factor = _parse_factor(toks)
-        if op == "/" and factor.is_zero:
-            raise ParseError("division by zero", toks.pos)
-        value = _bounded(value * factor if op == "*" else value / factor, pos)
+        value = _operation(op, value, _parse_factor(toks), pos)
     return value
+
+
+def _ppow(p: Poly, k: int) -> Poly:
+    """p^k by repeated squaring."""
+    r = (1,)
+    while k:
+        if k & 1:
+            r = pmul(r, p)
+        k >>= 1
+        if k:
+            p = pmul(p, p)
+    return r
 
 
 def _parse_factor(toks):
@@ -649,7 +801,9 @@ def _parse_factor(toks):
         toks.take()
         pos = toks.pos
         exp = _parse_int(toks)
-        value = _bounded(value, pos, exp) ** exp
+        # num^k and den^k stay coprime, so a power takes no gcd
+        _bounded(value, pos, exp)
+        value = _coprime(_ppow(value.num, exp), _ppow(value.den, exp))
     return value if sign > 0 else -value
 
 

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from wba.algebra import element_from_json
 from wba.cli import main
-from wba.diagrams import Shape
+from wba.diagrams import Shape, all_diagrams
 from wba.algebra import AlgebraElement
 from wba.scalars import DELTA
 from wba.fusion import fusion_idempotent
@@ -450,6 +451,60 @@ def test_mul_of_mismatched_shapes_is_a_usage_error(capsys, monkeypatch):
         '{\n  "error": {\n    "type": "ShapeMismatch",\n'
         '    "message": "shapes Shape(r=1, s=1) and Shape(r=2, s=1) differ"\n  }\n}\n'
     )
+
+
+def _timed_run(capsys, *argv):
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    return code, out, time.perf_counter() - start
+
+
+def test_idempotent_refuses_an_h_over_the_gcd_work_bound(capsys):
+    code, out, seconds = _timed_run(
+        capsys, "idempotent", "1", "1", "--tableau", "L+1,1;L-1,1", "--method", "second",
+        "--h", "((d+1)^256+1)/((d+3)^255+7)",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+    assert seconds < 1
+
+
+def _element(r, s, coeffs):
+    diagrams = [list(d.img) for d in all_diagrams(Shape(r, s))]
+    return {"r": r, "s": s, "terms": [
+        {"diagram": d, "coeff": c} for d, c in zip(diagrams, coeffs)
+    ]}
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        pytest.param(
+            _element(1, 1, ["(d+1)^256+1"]), _element(1, 1, ["1/((d+2)^256+1)"]),
+            id="one-term-degree-256",
+        ),
+        pytest.param(
+            _element(2, 2, [f"(d+{i})^64+1" for i in range(1, 25)]),
+            _element(2, 2, [f"1/((d+{i})^64+1)" for i in range(40, 64)]),
+            id="24-terms-degree-64",
+        ),
+    ],
+)
+def test_mul_refuses_a_product_over_the_gcd_work_bound(capsys, monkeypatch, a, b):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([a, b])))
+    code, out, seconds = _timed_run(capsys, "mul", "-")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "TooLarge"
+    assert seconds < 1
+
+
+def test_mul_work_of_six_site_idempotent_squares_is_far_under_the_bound():
+    from wba.scalars import product_work
+
+    for shape in (Shape(4, 2), Shape(1, 5)):
+        for t in enumerate_tableaux(shape):
+            coeffs = set(fusion_idempotent(t).terms.values())
+            assert product_work(coeffs, coeffs) < 5_000
 
 
 @pytest.mark.parametrize("coeff", [["1", "2"], ["d"], 12, None], ids=str)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,37 @@ def test_parse_integer_at_the_digit_bound():
 
 def test_parse_power_at_the_degree_bound():
     assert parse_scalar("(d^2)^128") == parse_scalar("d^256")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "((d+1)^256+1)/((d+2)^256+1)",
+        "((d+1)^256+1)/((d+3)^255+7)",
+        # no slower than 0.02 s to compute, but a gcd of two degree-256 sides
+        "(d+1)^256/(d+2)^256",
+        "1/((d+1)^64+1)+1/((d+2)^64+3)",
+    ],
+)
+def test_parse_refuses_an_operation_over_the_gcd_work_bound(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="operation too large"):
+        parse_scalar(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_keeps_operations_under_the_gcd_work_bound():
+    # gcds of degree 32 by 31, and a linear operand of any degree
+    x = parse_scalar("((d+1)^32+1)/((d+3)^31+7)")
+    assert x == ((DELTA + 1) ** 32 + 1) / ((DELTA + 3) ** 31 + 7)
+    assert parse_scalar("((d+1)^256-1)/(d+2)") == ((DELTA + 1) ** 256 - 1) / (DELTA + 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalars(), st.integers(0, 9))
+def test_parsed_power_is_the_repeated_product(x, k):
+    # the parser raises num and den to the power apart, with no gcd
+    assert parse_scalar(f"({scalar_str(x)})^{k}") is x**k
 
 
 def test_power_matches_repeated_product():
